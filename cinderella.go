@@ -287,7 +287,10 @@ type Record struct {
 // Query returns all documents instantiating at least one of the given
 // attributes (SELECT … WHERE a1 IS NOT NULL OR a2 IS NOT NULL …),
 // pruning partitions whose synopsis is disjoint from the attribute set.
-// Unknown attribute names simply match nothing.
+// It runs lock-free against a consistent snapshot, and inside each
+// surviving partition the bitmap scan kernel decodes only the documents
+// carrying one of the attributes. Unknown attribute names simply match
+// nothing.
 func (t *Table) Query(attrs ...string) []Record {
 	ids := t.attrIDs(attrs)
 	if len(ids) == 0 {
@@ -449,7 +452,7 @@ func (t *Table) checkEntityAttrs(e *entity.Entity) error {
 
 // ScanAll returns every live document (a full scan over all partitions;
 // no pruning is possible). Like Query it runs lock-free against a
-// consistent snapshot by default, so a long scan never stalls writers.
+// consistent snapshot, so a long scan never stalls writers.
 func (t *Table) ScanAll() []Record {
 	return t.toRecords(t.inner.ScanAll())
 }
@@ -459,20 +462,6 @@ func (t *Table) ScanAll() []Record {
 func (t *Table) ScanAllSpanned(sp *obs.QuerySpan) []Record {
 	return t.toRecords(t.inner.ScanAllSpanned(sp))
 }
-
-// SetLockedReads switches Query/QueryWhere/ScanAll between the default
-// lock-free snapshot mode and the historical mode where reads hold the
-// table's shared lock for the whole scan. Results and reports are
-// identical in both modes; the locked mode exists as the comparison
-// baseline for benchmarks (cinderella-bench -exp read).
-func (t *Table) SetLockedReads(locked bool) { t.inner.SetLockedReads(locked) }
-
-// SetBitmapScans switches snapshot Query/QueryWhere scans between the
-// word-parallel bitmap kernel (default, on) and the per-record sidecar
-// path. Results and reports are identical in both modes; the sidecar
-// path exists as the comparison baseline for benchmarks
-// (cinderella-bench -exp scan) and the equivalence tests.
-func (t *Table) SetBitmapScans(on bool) { t.inner.SetBitmapScans(on) }
 
 // PartitionStat describes one partition. The json tags are the
 // service-layer wire format (GET /v1/partitions).

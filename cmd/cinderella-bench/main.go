@@ -22,14 +22,14 @@
 // uninstrumented; the repo tracks BENCH_obs.json). The shard experiment
 // measures write-path scaling across 1/2/4/8 hash-routed shards (the
 // repo tracks BENCH_shard.json). The read experiment races a mixed
-// 8-writer/8-reader workload to compare writer tail latency between
-// lock-free snapshot reads and the historical RWMutex read path, and
-// reports the fraction of record decodes the synopsis sidecar avoids
-// (the repo tracks BENCH_read.json). The scan experiment measures the
-// word-parallel bitmap scan kernel against the per-record sidecar
-// baseline on the selective query bucket, checks result equivalence,
-// and verifies a fully pruned frozen partition charges zero cold bytes
-// (the repo tracks BENCH_scan.json). With -obs :PORT the process serves the
+// 8-writer/8-reader workload and gates writer p99 under the full-scan
+// readers at 2x the writers-alone p99, and reports the fraction of
+// record decodes the bitmap scan kernel avoids (the repo tracks
+// BENCH_read.json). The scan experiment measures the word-parallel
+// bitmap scan kernel against a full decode of every record in the
+// surviving partitions on the selective query bucket, checks result
+// equivalence against that baseline, and verifies a fully pruned frozen
+// partition charges zero cold bytes (the repo tracks BENCH_scan.json). With -obs :PORT the process serves the
 // ops endpoint (/metrics, /debug/vars, /debug/pprof) while experiments
 // run. -cpuprofile and -memprofile write pprof profiles of the run.
 package main
@@ -96,9 +96,9 @@ func main() {
 		}
 	}
 
-	// Profiling covers the whole experiment run: the bitmap/sidecar scan
-	// phases are where -exp scan spends its time, so -cpuprofile on that
-	// experiment profiles the kernel directly.
+	// Profiling covers the whole experiment run: the kernel and
+	// full-decode scan phases are where -exp scan spends its time, so
+	// -cpuprofile on that experiment profiles the kernel directly.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

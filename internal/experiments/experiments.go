@@ -17,6 +17,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"cinderella/internal/core"
@@ -90,6 +92,37 @@ func loadTable(ds *datagen.Dataset, p core.Assigner, timings bool) (*table.Table
 		}
 	}
 	return tbl, durs
+}
+
+// BuildMeta identifies the toolchain and source a BENCH file was
+// recorded with.
+type BuildMeta struct {
+	GoVersion string `json:"go_version"`
+	// Commit is the VCS revision the binary was built from, suffixed
+	// "-dirty" when the tree had uncommitted changes; "unknown" when the
+	// build carries no VCS stamp (go run stamps only with -buildvcs=true).
+	Commit string `json:"commit"`
+}
+
+func buildMeta() BuildMeta {
+	m := BuildMeta{GoVersion: runtime.Version(), Commit: "unknown"}
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return m
+	}
+	dirty := false
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			m.Commit = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if dirty && m.Commit != "unknown" {
+		m.Commit += "-dirty"
+	}
+	return m
 }
 
 // entSynopses extracts entity synopses once per data set.

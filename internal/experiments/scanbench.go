@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"io"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"cinderella/internal/core"
 	"cinderella/internal/entity"
 	"cinderella/internal/obs"
 	"cinderella/internal/synopsis"
@@ -12,32 +17,40 @@ import (
 	"cinderella/internal/workload"
 )
 
-// ScanBench measures the word-parallel bitmap scan kernel against the
-// per-record sidecar baseline (internal/table bitmap.go): selective
-// query throughput in both modes, a full result/report equivalence
-// sweep, and the cold-tier payoff — a frozen partition the kernel
-// prunes completely charges zero cold bytes. cmd/cinderella-bench
-// serializes the result into BENCH_scan.json.
+// ScanBench measures the word-parallel bitmap scan kernel — the table's
+// only scan path — against a full-decode baseline kept here: the same
+// partition pruning, then a decode of every live record in each
+// surviving partition, filtered after decoding. It reports selective
+// query throughput for both, a result/report equivalence sweep, and the
+// cold-tier payoff — a frozen partition the kernel prunes completely
+// charges zero cold bytes. cmd/cinderella-bench serializes the result
+// into BENCH_scan.json.
 //
 // The timed replay runs on the coarse-partitioning arm of the paper's
 // Fig. 5 sweep (B = 50000): with few, wide partitions, partition-level
 // synopses prune almost nothing and nearly every visited record is
-// irrelevant — the regime where the per-record sidecar pays its
-// pointer chase + word-AND per record and the kernel's 64-records-per-
-// word-op evaluation is the operative mechanism. The fine-grained
-// clustered table (the B = 5000 standard arm) is also measured and
-// reported as a secondary ratio: there Cinderella's partition pruning
-// already concentrates relevant records, so both modes are bound by
-// decoding the hits and the ratio is structurally near 1.
+// irrelevant — the regime where record-level skipping carries the scan.
+// The fine-grained clustered table (the B = 5000 standard arm) is also
+// measured and reported as a secondary ratio.
 
 // scanBenchSelectiveCut bounds the measured selectivity of the queries
 // in the timed replay: the kernel's job is the selective regime, where
 // most visited records are irrelevant and decode-skipping dominates.
 const scanBenchSelectiveCut = 0.25
 
-// scanBenchBudget is the required selective speedup of the bitmap
-// kernel over the sidecar baseline (the PR's acceptance gate).
-const scanBenchBudget = 3.0
+// scanBenchBudget is the required selective speedup of the kernel over
+// the full-decode baseline: 0.85 of the kernel-vs-locked-full-decode
+// ratio measured before the locked read mode was removed (median 30.7x
+// over five 100k-entity runs on a 2-vCPU VM, the BENCH_scan.json
+// scale), never below the earlier 3x floor against the per-record
+// synopsis path.
+const scanBenchBudget = 26.1
+
+// scanBenchRounds is the number of alternating full-decode/kernel phase
+// pairs per arm. Throughputs are the medians over the rounds and the
+// speedup is the median of the per-round ratios, so drift of a shared
+// machine between the two phases of a pair cancels out.
+const scanBenchRounds = 7
 
 // scanBenchCoarseB is the partition-size bound for the timed replay's
 // table: Fig. 5's largest arm, where partition pruning is weakest and
@@ -50,21 +63,24 @@ const scanBenchClusteredB = 5000
 
 // ScanBenchResult is the scan-kernel baseline.
 type ScanBenchResult struct {
+	BuildMeta
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 	Entities   int `json:"entities"`
 
-	// The timed replay: selective representative queries, one phase per
-	// scan mode over the same hot coarse-partitioned table.
+	// The timed replay: selective representative queries, Rounds
+	// alternating phase pairs (full decode, then kernel) over the same
+	// hot coarse-partitioned table.
 	Queries          int     `json:"queries"`
 	SelectiveQueries int     `json:"selective_queries"`
 	SelectivityCut   float64 `json:"selectivity_cut"`
 	PhaseMs          int     `json:"phase_ms"`
+	Rounds           int     `json:"rounds"`
 	PartitionMaxSize int     `json:"partition_max_size"` // the replay table's B (Fig. 5 coarse arm)
 
-	SidecarQPS       float64 `json:"sidecar_queries_per_sec"`
+	FullDecodeQPS    float64 `json:"full_decode_queries_per_sec"`
 	BitmapQPS        float64 `json:"bitmap_queries_per_sec"`
-	SidecarUsPerQ    float64 `json:"sidecar_us_per_query"`
+	FullDecodeUsPerQ float64 `json:"full_decode_us_per_query"`
 	BitmapUsPerQ     float64 `json:"bitmap_us_per_query"`
 	Speedup          float64 `json:"speedup"`
 	WithinBudget     bool    `json:"within_budget"` // Speedup >= SpeedupBudget
@@ -75,16 +91,15 @@ type ScanBenchResult struct {
 	RecordsPerWordOp float64 `json:"records_per_word_op"` // records ruled on per 64-bit op
 
 	// The secondary ratio on the standard clustered table, where
-	// partition pruning already concentrates relevant records and both
-	// modes are decode-bound.
+	// partition pruning already concentrates relevant records.
 	ClusteredPartitionMaxSize int     `json:"clustered_partition_max_size"`
-	ClusteredSidecarQPS       float64 `json:"clustered_sidecar_queries_per_sec"`
+	ClusteredFullDecodeQPS    float64 `json:"clustered_full_decode_queries_per_sec"`
 	ClusteredBitmapQPS        float64 `json:"clustered_bitmap_queries_per_sec"`
 	ClusteredSpeedup          float64 `json:"clustered_speedup"`
 
 	// The equivalence sweep: every representative query plus predicate
-	// probes, bitmap vs. sidecar, on both tables, hot and frozen —
-	// results and QueryReport must be bit-identical.
+	// probes, kernel vs. full decode, on both tables, hot and frozen —
+	// results and QueryReport must be identical.
 	EquivalenceQueries int  `json:"equivalence_queries"`
 	EquivalenceOK      bool `json:"equivalence_ok"`
 
@@ -98,6 +113,122 @@ type ScanBenchResult struct {
 	PruneZeroColdOK      bool  `json:"prune_zero_cold_ok"`
 }
 
+// fullDecode is the baseline scan: each partition's records, encoded
+// exactly as the table stores them (uvarint id + entity), in one slab
+// per partition. A query prunes partitions by synopsis like the table
+// does, then decodes every record of every surviving partition and
+// filters after decoding — no record-level skipping. Surviving
+// partitions are decoded on GOMAXPROCS workers, like the table's
+// parallel partition scans (and the locked read mode this replaces).
+type fullDecode struct {
+	parts []decodePart
+}
+
+type decodePart struct {
+	syn  *synopsis.Set
+	slab []byte
+	ends []int // record i is slab[ends[i-1]:ends[i]]
+}
+
+// newFullDecode copies tbl's current partitions into the baseline.
+func newFullDecode(tbl *table.Table) *fullDecode {
+	fd := &fullDecode{}
+	for _, pv := range tbl.Partitions() {
+		dp := decodePart{syn: pv.Synopsis}
+		for _, id := range tbl.PartitionMembers(pv.ID) {
+			e, ok := tbl.Get(id)
+			if !ok {
+				continue
+			}
+			dp.slab = binary.AppendUvarint(dp.slab, uint64(id))
+			dp.slab = e.Marshal(dp.slab)
+			dp.ends = append(dp.ends, len(dp.slab))
+		}
+		fd.parts = append(fd.parts, dp)
+	}
+	return fd
+}
+
+// decode decodes every record of the partition, keeping the matches;
+// the report carries the partition's visit counters.
+func (dp *decodePart) decode(match func(*entity.Entity) bool) (hits []table.Result, rep table.QueryReport) {
+	start := 0
+	for _, end := range dp.ends {
+		rec := dp.slab[start:end]
+		start = end
+		id, n := binary.Uvarint(rec)
+		e, _, err := entity.Unmarshal(rec[n:])
+		if err != nil {
+			panic("experiments: corrupt baseline record: " + err.Error())
+		}
+		rep.EntitiesScanned++
+		rep.BytesRead += int64(len(rec))
+		if match(e) {
+			hits = append(hits, table.Result{ID: core.EntityID(id), Entity: e})
+			rep.EntitiesReturned++
+			rep.BytesRelevant += int64(len(rec))
+		}
+	}
+	return hits, rep
+}
+
+// scan runs one query: survive decides partition pruning, match filters
+// decoded entities.
+func (fd *fullDecode) scan(survive func(*synopsis.Set) bool, match func(*entity.Entity) bool) ([]table.Result, table.QueryReport) {
+	rep := table.QueryReport{PartitionsTotal: len(fd.parts)}
+	var surv []*decodePart
+	for i := range fd.parts {
+		if survive(fd.parts[i].syn) {
+			surv = append(surv, &fd.parts[i])
+		}
+	}
+	rep.PartitionsTouched = len(surv)
+	rep.PartitionsPruned = rep.PartitionsTotal - rep.PartitionsTouched
+
+	hits := make([][]table.Result, len(surv))
+	reps := make([]table.QueryReport, len(surv))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(surv)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(surv); i = int(next.Add(1)) - 1 {
+				hits[i], reps[i] = surv[i].decode(match)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var out []table.Result
+	for i := range surv {
+		out = append(out, hits[i]...)
+		rep.EntitiesScanned += reps[i].EntitiesScanned
+		rep.EntitiesReturned += reps[i].EntitiesReturned
+		rep.BytesRead += reps[i].BytesRead
+		rep.BytesRelevant += reps[i].BytesRelevant
+	}
+	return out, rep
+}
+
+// selectQ is Select's shape: entities with any of q's attributes.
+func (fd *fullDecode) selectQ(q *synopsis.Set) ([]table.Result, table.QueryReport) {
+	hasAny := func(s *synopsis.Set) bool { return synopsis.Intersects(s, q) }
+	return fd.scan(hasAny, func(e *entity.Entity) bool { return hasAny(e.Synopsis()) })
+}
+
+// where is SelectWhere's shape for the anyPred probes, which every
+// entity instantiating the attribute satisfies: entities with all of
+// the predicate attributes.
+func (fd *fullDecode) where(preds []table.Pred) ([]table.Result, table.QueryReport) {
+	need := synopsis.New(0)
+	for _, p := range preds {
+		need.Add(p.Attr)
+	}
+	hasAll := func(s *synopsis.Set) bool { return synopsis.Subset(need, s) }
+	return fd.scan(hasAll, func(e *entity.Entity) bool { return hasAll(e.Synopsis()) })
+}
+
 // anyPred builds a predicate that every entity instantiating attr
 // satisfies. The generated data's value kind is deterministic per
 // attribute (attr % 3), so a matching-kind >= minimum probe matches
@@ -109,12 +240,18 @@ func anyPred(attr int) table.Pred {
 	return table.Pred{Attr: attr, Op: table.Ge, Value: entity.Float(-1)}
 }
 
-// sameScanResults compares two result sets for bit-identity (order,
-// ids, contents).
+// sameScanResults compares two result sets by id and contents. The
+// baseline visits a partition's records in insertion order, the table in
+// storage order, so both are sorted by id first.
 func sameScanResults(a, b []table.Result) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	byID := func(r []table.Result) {
+		sort.Slice(r, func(i, j int) bool { return r[i].ID < r[j].ID })
+	}
+	byID(a)
+	byID(b)
 	for i := range a {
 		if a[i].ID != b[i].ID || !a[i].Entity.Equal(b[i].Entity) {
 			return false
@@ -128,19 +265,21 @@ func ScanBench(o Options) ScanBenchResult {
 	o = o.withDefaults()
 	const phase = 1200 * time.Millisecond
 	res := ScanBenchResult{
+		BuildMeta:                 buildMeta(),
 		GOMAXPROCS:                runtime.GOMAXPROCS(0),
 		NumCPU:                    runtime.NumCPU(),
 		Entities:                  o.Entities,
 		SelectivityCut:            scanBenchSelectiveCut,
 		SpeedupBudget:             scanBenchBudget,
 		PhaseMs:                   int(phase.Milliseconds()),
+		Rounds:                    scanBenchRounds,
 		PartitionMaxSize:          scanBenchCoarseB,
 		ClusteredPartitionMaxSize: scanBenchClusteredB,
 	}
-
 	ds := dataset(o)
 	tbl, _ := loadTable(ds, cind(0.5, scanBenchClusteredB), false)
 	coarse, _ := loadTable(ds, cind(0.5, scanBenchCoarseB), false)
+	tblBase, coarseBase := newFullDecode(tbl), newFullDecode(coarse)
 	reg := o.Obs
 	if reg == nil {
 		reg = obs.New(obs.Options{})
@@ -162,75 +301,89 @@ func ScanBench(o Options) ScanBenchResult {
 	res.SelectiveQueries = len(selective)
 
 	// Phase 1 — equivalence sweep over both hot tables: every
-	// representative query, bitmap vs. sidecar, results and reports
-	// bit-identical.
+	// representative query, kernel vs. full decode, results and reports
+	// identical.
 	res.EquivalenceOK = true
-	checkEquiv := func(t *table.Table, run func() ([]table.Result, table.QueryReport)) {
-		t.SetBitmapScans(true)
-		br, brep := run()
-		t.SetBitmapScans(false)
-		sr, srep := run()
-		t.SetBitmapScans(true)
+	checkEquiv := func(kernel, base func() ([]table.Result, table.QueryReport)) {
+		kr, krep := kernel()
+		br, brep := base()
 		res.EquivalenceQueries++
-		if !sameScanResults(br, sr) || brep != srep {
+		if !sameScanResults(kr, br) || krep != brep {
 			res.EquivalenceOK = false
 		}
 	}
 	for _, q := range queries {
 		q := q
-		checkEquiv(tbl, func() ([]table.Result, table.QueryReport) { return tbl.SelectWithReport(q.Attrs) })
-		checkEquiv(coarse, func() ([]table.Result, table.QueryReport) { return coarse.SelectWithReport(q.Attrs) })
+		checkEquiv(func() ([]table.Result, table.QueryReport) { return tbl.SelectWithReport(q.Attrs) },
+			func() ([]table.Result, table.QueryReport) { return tblBase.selectQ(q.Attrs) })
+		checkEquiv(func() ([]table.Result, table.QueryReport) { return coarse.SelectWithReport(q.Attrs) },
+			func() ([]table.Result, table.QueryReport) { return coarseBase.selectQ(q.Attrs) })
 		attrs := q.Attrs.Elements(nil)
 		if len(attrs) > 0 {
 			preds := []table.Pred{anyPred(attrs[0])}
 			if len(attrs) > 1 {
 				preds = append(preds, anyPred(attrs[1]))
 			}
-			checkEquiv(tbl, func() ([]table.Result, table.QueryReport) { return tbl.SelectWhere(preds) })
+			checkEquiv(func() ([]table.Result, table.QueryReport) { return tbl.SelectWhere(preds) },
+				func() ([]table.Result, table.QueryReport) { return tblBase.where(preds) })
 		}
 	}
 
-	// Phase 2 — the timed selective replay, one time-boxed phase per
-	// mode (sidecar first so the bitmap phase cannot inherit a warmer
-	// allocator). One warm-up pass each. The headline ratio runs on the
-	// coarse table; the clustered table's ratio is the secondary number.
+	// Phase 2 — the timed selective replay: scanBenchRounds pairs of
+	// time-boxed phases, full decode first in each pair so the kernel
+	// phase cannot inherit a warmer allocator. One warm-up pass per
+	// phase. The headline ratio runs on the coarse table; the clustered
+	// table's ratio is the secondary number.
 	//
 	// Scheduling is an equal time slice per query (the rate-metric
 	// aggregation): each representative query gets d/len(selective) of
 	// wall time and throughput is total completions over total time.
 	// A single shared loop would instead let the bucket's heaviest
 	// queries — whose cost is dominated by materializing their large
-	// result sets, identical in both modes — consume nearly all the
+	// result sets, identical for both scans — consume nearly all the
 	// phase and mask the scan-path difference this benchmark isolates.
-	replayFor := func(t *table.Table, d time.Duration) (qps float64, ran int) {
+	replayFor := func(run func(q *synopsis.Set), d time.Duration) (qps float64, ran int) {
 		for _, q := range selective {
-			t.SelectSynopsis(q.Attrs)
+			run(q.Attrs)
 		}
 		slice := d / time.Duration(len(selective))
 		var total time.Duration
 		for _, q := range selective {
 			start := time.Now()
 			for time.Since(start) < slice {
-				t.SelectSynopsis(q.Attrs)
+				run(q.Attrs)
 				ran++
 			}
 			total += time.Since(start)
 		}
 		return float64(ran) / total.Seconds(), ran
 	}
-	coarse.SetBitmapScans(false)
-	res.SidecarQPS, _ = replayFor(coarse, phase)
-	coarse.SetBitmapScans(true)
+	kernelRun := func(t *table.Table) func(*synopsis.Set) {
+		return func(q *synopsis.Set) { t.SelectSynopsis(q) }
+	}
+	baseRun := func(fd *fullDecode) func(*synopsis.Set) {
+		return func(q *synopsis.Set) { fd.selectQ(q) }
+	}
+	rounds := func(base, kernel func(*synopsis.Set), d time.Duration) (baseQPS, kernelQPS, speedup float64, kernelRan int) {
+		var bq, kq, ratio []float64
+		for r := 0; r < scanBenchRounds; r++ {
+			b, _ := replayFor(base, d)
+			k, n := replayFor(kernel, d)
+			kernelRan += n
+			bq, kq, ratio = append(bq, b), append(kq, k), append(ratio, k/b)
+		}
+		return median(bq), median(kq), median(ratio), kernelRan
+	}
 	w0, h0 := reg.Counter(obs.CScanBitmapWords), reg.Counter(obs.CScanBitmapHits)
 	d0 := reg.Counter(obs.CScanDecoded)
 	s0 := reg.Counter(obs.CScanDecodeSkipped)
 	var bitmapRan int
-	res.BitmapQPS, bitmapRan = replayFor(coarse, phase)
+	res.FullDecodeQPS, res.BitmapQPS, res.Speedup, bitmapRan = rounds(baseRun(coarseBase), kernelRun(coarse), phase)
 	res.BitmapWords = reg.Counter(obs.CScanBitmapWords) - w0
 	res.BitmapHits = reg.Counter(obs.CScanBitmapHits) - h0
 	ruled := reg.Counter(obs.CScanDecoded) - d0 + reg.Counter(obs.CScanDecodeSkipped) - s0
-	if res.SidecarQPS > 0 {
-		res.SidecarUsPerQ = 1e6 / res.SidecarQPS
+	if res.FullDecodeQPS > 0 {
+		res.FullDecodeUsPerQ = 1e6 / res.FullDecodeQPS
 	}
 	if res.BitmapQPS > 0 {
 		res.BitmapUsPerQ = 1e6 / res.BitmapQPS
@@ -241,18 +394,10 @@ func ScanBench(o Options) ScanBenchResult {
 	if res.BitmapWords > 0 {
 		res.RecordsPerWordOp = float64(ruled) / float64(res.BitmapWords)
 	}
-	if res.SidecarQPS > 0 {
-		res.Speedup = res.BitmapQPS / res.SidecarQPS
-	}
 	res.WithinBudget = res.Speedup >= scanBenchBudget
 
-	tbl.SetBitmapScans(false)
-	res.ClusteredSidecarQPS, _ = replayFor(tbl, phase/2)
-	tbl.SetBitmapScans(true)
-	res.ClusteredBitmapQPS, _ = replayFor(tbl, phase/2)
-	if res.ClusteredSidecarQPS > 0 {
-		res.ClusteredSpeedup = res.ClusteredBitmapQPS / res.ClusteredSidecarQPS
-	}
+	res.ClusteredFullDecodeQPS, res.ClusteredBitmapQPS, res.ClusteredSpeedup, _ =
+		rounds(baseRun(tblBase), kernelRun(tbl), phase/2)
 
 	// Phase 3 — freeze every clustered partition and probe the cold-tier
 	// prune path: a conjunction over two attributes that never co-occur
@@ -280,9 +425,20 @@ func ScanBench(o Options) ScanBenchResult {
 			continue
 		}
 		q := q
-		checkEquiv(tbl, func() ([]table.Result, table.QueryReport) { return tbl.SelectWithReport(q.Attrs) })
+		checkEquiv(func() ([]table.Result, table.QueryReport) { return tbl.SelectWithReport(q.Attrs) },
+			func() ([]table.Result, table.QueryReport) { return tblBase.selectQ(q.Attrs) })
 	}
 	return res
+}
+
+// median returns the median of xs (which it sorts in place).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // disjointCoverPair finds an attribute pair (a, b) that never co-occurs
@@ -320,17 +476,17 @@ func disjointCoverPair(syns []*synopsis.Set, tbl *table.Table) (int, int, bool) 
 
 // Print renders the baseline like the other experiment reports.
 func (r ScanBenchResult) Print(w io.Writer) {
-	fprintf(w, "SCAN kernel (GOMAXPROCS=%d, %d CPUs, %d entities, %d selective of %d queries, sel<=%.2f)\n",
-		r.GOMAXPROCS, r.NumCPU, r.Entities, r.SelectiveQueries, r.Queries, r.SelectivityCut)
-	fprintf(w, "  coarse arm (B=%d):\n", r.PartitionMaxSize)
-	fprintf(w, "    sidecar baseline: %.0f q/s (%.1f us/query)\n", r.SidecarQPS, r.SidecarUsPerQ)
-	fprintf(w, "    bitmap kernel:    %.0f q/s (%.1f us/query)\n", r.BitmapQPS, r.BitmapUsPerQ)
+	fprintf(w, "SCAN kernel (GOMAXPROCS=%d, %d CPUs, %s, %d entities, %d selective of %d queries, sel<=%.2f)\n",
+		r.GOMAXPROCS, r.NumCPU, r.GoVersion, r.Entities, r.SelectiveQueries, r.Queries, r.SelectivityCut)
+	fprintf(w, "  coarse arm (B=%d, medians of %d rounds):\n", r.PartitionMaxSize, r.Rounds)
+	fprintf(w, "    full-decode baseline: %.0f q/s (%.1f us/query)\n", r.FullDecodeQPS, r.FullDecodeUsPerQ)
+	fprintf(w, "    bitmap kernel:        %.0f q/s (%.1f us/query)\n", r.BitmapQPS, r.BitmapUsPerQ)
 	fprintf(w, "    speedup: %.2fx (budget %.1fx, within=%v)\n", r.Speedup, r.SpeedupBudget, r.WithinBudget)
 	fprintf(w, "    kernel: %d word ops, %d candidates (%.1f records ruled per word op)\n",
 		r.BitmapWords, r.BitmapHits, r.RecordsPerWordOp)
-	fprintf(w, "  clustered arm (B=%d): %.0f -> %.0f q/s (%.2fx; decode-bound, pruning already concentrated)\n",
-		r.ClusteredPartitionMaxSize, r.ClusteredSidecarQPS, r.ClusteredBitmapQPS, r.ClusteredSpeedup)
-	fprintf(w, "  equivalence: %d queries bitmap==sidecar: %v\n", r.EquivalenceQueries, r.EquivalenceOK)
+	fprintf(w, "  clustered arm (B=%d): %.0f -> %.0f q/s (%.2fx)\n",
+		r.ClusteredPartitionMaxSize, r.ClusteredFullDecodeQPS, r.ClusteredBitmapQPS, r.ClusteredSpeedup)
+	fprintf(w, "  equivalence: %d queries kernel==full decode: %v\n", r.EquivalenceQueries, r.EquivalenceOK)
 	fprintf(w, "  cold prune: %d frozen partitions, probe touched %d, cold bytes %d (zero-cold ok=%v)\n",
 		r.FrozenPartitions, r.PruneProbePartitions, r.PruneProbeColdBytes, r.PruneZeroColdOK)
 }

@@ -444,23 +444,28 @@ func TestShardedConcurrentWritersScanAll(t *testing.T) {
 	defer s.Close()
 
 	rng := rand.New(rand.NewSource(9))
+	var initial []cinderella.ID
 	for i := 0; i < 200; i++ {
-		if _, err := s.Insert(docFor(rng)); err != nil {
+		id, err := s.Insert(docFor(rng))
+		if err != nil {
 			t.Fatal(err)
 		}
+		initial = append(initial, id)
 	}
 
 	const writers = 4
 	var wwg, rwg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, writers+4)
+	finals := make([][]cinderella.ID, writers) // each writer's live ids
 
 	for w := 0; w < writers; w++ {
 		wwg.Add(1)
-		go func(seed int64) {
+		go func(w int, seed int64) {
 			defer wwg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			var mine []cinderella.ID
+			defer func() { finals[w] = mine }()
 			for i := 0; i < 300; i++ {
 				switch {
 				case len(mine) > 0 && rng.Intn(4) == 0:
@@ -484,7 +489,7 @@ func TestShardedConcurrentWritersScanAll(t *testing.T) {
 					mine = append(mine, id)
 				}
 			}
-		}(int64(300 + w))
+		}(w, int64(300+w))
 	}
 
 	for r := 0; r < 4; r++ {
@@ -526,13 +531,27 @@ func TestShardedConcurrentWritersScanAll(t *testing.T) {
 	default:
 	}
 
-	// Full scan agrees across read modes once writers stop.
+	// Once writers stop, the full scan returns exactly the live ids —
+	// the initial load plus every writer's survivors — each with the
+	// document a point read returns.
+	want := make(map[cinderella.ID]bool)
+	for _, id := range initial {
+		want[id] = true
+	}
+	for _, mine := range finals {
+		for _, id := range mine {
+			want[id] = true
+		}
+	}
 	snapRecs := s.ScanAll()
-	s.SetLockedReads(true)
-	lockRecs := s.ScanAll()
-	s.SetLockedReads(false)
-	if len(snapRecs) != len(lockRecs) {
-		t.Fatalf("snapshot scan %d records, locked scan %d", len(snapRecs), len(lockRecs))
+	if len(snapRecs) != len(want) {
+		t.Fatalf("ScanAll %d records, %d live ids", len(snapRecs), len(want))
+	}
+	for _, rec := range snapRecs {
+		doc, ok := s.Get(rec.ID)
+		if !want[rec.ID] || !ok || !reflect.DeepEqual(doc, rec.Doc) {
+			t.Fatalf("ScanAll record %d does not match its point read (live=%v)", rec.ID, want[rec.ID])
+		}
 	}
 	if len(snapRecs) != s.Len() {
 		t.Fatalf("ScanAll %d records, Len %d", len(snapRecs), s.Len())

@@ -8,32 +8,28 @@ import (
 	"cinderella/internal/synopsis"
 )
 
-// The attribute-presence bitmap matrix: the record-synopsis sidecar
-// transposed into attribute-major form.
+// The attribute-presence bitmap matrix: the only record-level pruning
+// structure.
 //
-// The sidecar answers "which attributes does record r have?" one record
-// at a time — a pointer chase plus a word-AND per visited record, which
-// makes the scan loop memory-bound on irrelevant records. The matrix
-// answers the transposed question, "which records have attribute a?",
-// as one []uint64 bitset per attribute over *slot positions* (a dense
-// numbering of every slot in the page chain, in storage order). A
-// query's predicate then compiles into a handful of word operations:
-// AND the required attributes' bitsets (OR for Select's union shape),
-// fold in the live bitset from the slot directory and the known bitset
-// for nil-sidecar records, and every set bit of the result is a record
-// that must be decoded — 64 records per machine word, no per-record
-// pointer chases.
+// The matrix answers "which records have attribute a?" as one []uint64
+// bitset per attribute over *slot positions* (a dense numbering of every
+// slot in the page chain, in storage order). Every record is inserted
+// with its exact attribute set, so the rows are exact. A query's
+// predicate compiles into a handful of word operations: AND the required
+// attributes' bitsets (OR for Select's union shape), fold in the live
+// bitset from the slot directory, and every set bit of the result is a
+// record that must be decoded — 64 records per machine word, no
+// per-record pointer chases.
 //
-// Maintenance mirrors the sidecar exactly:
+// Maintenance:
 //
-//   - InsertTagged sets the live bit (plus the known bit and one bit
-//     per attribute when the synopsis is known) at the record's fresh
-//     position.
+//   - InsertTagged sets the live bit and one bit per attribute at the
+//     record's fresh position.
 //   - Delete copies the live bitset, clears the bit, and swaps the copy
 //     in; the attribute bits go stale but are masked by live at
 //     evaluation time.
-//   - Vacuum and freeze rebuild the matrix from scratch with the page
-//     chain.
+//   - Vacuum compacts every row over the surviving positions; freeze
+//     hands the vacuumed matrix to the cold segment unchanged.
 //
 // Concurrency follows the segment's append-only/copy-on-write
 // discipline. A published view captures the matrix's slice headers and
@@ -47,13 +43,12 @@ import (
 // a page delete does.
 
 // bitmat is a segment's attribute-presence matrix. All word arrays
-// (live, known, every attrs row) always have identical length, grown
+// (live and every attrs row) always have identical length, grown
 // together, so the kernel indexes them uniformly.
 type bitmat struct {
 	ids      []int      // sorted attribute ids with a presence row; COW
 	attrs    [][]uint64 // parallel to ids; outer COW, inner grown by COW
 	live     []uint64   // live-record bitset (slot-directory tombstones folded in)
-	known    []uint64   // positions inserted with a non-nil synopsis
 	pageBase []int      // position of each page's slot 0
 	slots    int        // total positions (sum of per-page slot counts)
 }
@@ -65,7 +60,6 @@ type bmView struct {
 	ids      []int
 	attrs    [][]uint64
 	live     []uint64
-	known    []uint64
 	pageBase []int
 	slots    int
 }
@@ -75,7 +69,6 @@ func (m *bitmat) view() bmView {
 		ids:      m.ids,
 		attrs:    m.attrs,
 		live:     m.live,
-		known:    m.known,
 		pageBase: m.pageBase,
 		slots:    m.slots,
 	}
@@ -117,7 +110,6 @@ func (m *bitmat) ensure(pos int) {
 		return w
 	}
 	m.live = grow(m.live)
-	m.known = grow(m.known)
 	nattrs := make([][]uint64, len(m.attrs))
 	for i, row := range m.attrs {
 		nattrs[i] = grow(row)
@@ -146,23 +138,43 @@ func (m *bitmat) attrRow(id int) []uint64 {
 }
 
 // noteInsert records a fresh position: the record just appended at the
-// end of the page chain, with its (possibly nil) synopsis.
+// end of the page chain, with its attribute set.
 func (m *bitmat) noteInsert(syn *synopsis.Set) {
 	pos := m.slots
 	m.ensure(pos)
 	setBit(m.live, pos)
-	if syn != nil {
-		setBit(m.known, pos)
-		syn.ForEach(func(id int) {
-			setBit(m.attrRow(id), pos)
-		})
-	}
+	syn.ForEach(func(id int) {
+		setBit(m.attrRow(id), pos)
+	})
 	m.slots++
 }
 
+// compactRows fills m's (empty) attribute rows from old, where keep[i]
+// is the old position of m's position i: each row keeps the bits of the
+// surviving positions, and rows left empty are dropped. m is private to
+// the writer until published, so plain stores suffice.
+func (m *bitmat) compactRows(old *bitmat, keep []int) {
+	for ai, row := range old.attrs {
+		var nrow []uint64
+		for i, pos := range keep {
+			if row[pos>>6]&(1<<(uint(pos)&63)) == 0 {
+				continue
+			}
+			if nrow == nil {
+				nrow = make([]uint64, len(m.live))
+			}
+			nrow[i>>6] |= 1 << (uint(i) & 63)
+		}
+		if nrow != nil {
+			m.ids = append(m.ids, old.ids[ai])
+			m.attrs = append(m.attrs, nrow)
+		}
+	}
+}
+
 // noteDelete clears the live bit for (page, slot) via copy-on-write.
-// The attribute and known bits are left stale: live masks them out of
-// every kernel evaluation.
+// The attribute bits are left stale: live masks them out of every
+// kernel evaluation.
 func (m *bitmat) noteDelete(page, slot int) {
 	if page >= len(m.pageBase) {
 		return
@@ -181,25 +193,20 @@ func (m *bitmat) noteDelete(page, slot int) {
 // kernel: the attribute ids whose presence rows are combined, and the
 // combiner. Disjunction=true is Select's union shape ("has any of
 // these"); false is SelectWhere's conjunction shape ("has all of
-// these"). Records inserted without a synopsis (known bit clear) are
-// always candidates — the caller decodes them to test, exactly like the
-// per-record sidecar path treats a nil sidecar entry.
+// these"). The empty conjunction (the zero BitmapProgram) yields every
+// live record — ScanAll's program.
 type BitmapProgram struct {
 	Attrs       []int
 	Disjunction bool
 }
 
-// BitmapCand is one candidate yielded by the kernel: a live record the
-// program could not rule out, with its stored length. Known reports
-// whether the record's synopsis was known to the matrix: a known
-// candidate provably satisfies the program (presence rows are exact),
-// so the caller can skip re-testing attribute presence after decoding;
-// an unknown candidate must be decoded to test, like a nil sidecar
-// entry on the per-record path.
+// BitmapCand is one candidate yielded by the kernel: a live record that
+// satisfies the program, with its stored length. Presence rows are
+// exact, so a candidate provably has the program's attributes; only
+// value predicates need the decoded record.
 type BitmapCand struct {
-	ID    RecordID
-	N     int32
-	Known bool
+	ID RecordID
+	N  int32
 }
 
 // BitmapScratch holds the kernel's reusable per-scan buffers: the
@@ -237,7 +244,7 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 
 	// Phase 1: the candidate bitset, one word at a time —
 	//
-	//	cand = (combine(attr rows) | ~known) & live
+	//	cand = combine(attr rows) & live
 	//
 	// Word loads from the matrix are atomic: a concurrent insert may
 	// store fresh bits into the final word, which the slots mask below
@@ -265,10 +272,9 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 				w &= atomic.LoadUint64(&s[wi])
 			}
 		}
-		w |= ^atomic.LoadUint64(&bm.known[wi])
 		w &= atomic.LoadUint64(&bm.live[wi])
 		cand[wi] = w
-		words += int64(len(sets)) + 2
+		words += int64(len(sets)) + 1
 	}
 	if tail := uint(bm.slots) & 63; tail != 0 {
 		cand[nw-1] &= 1<<tail - 1
@@ -279,11 +285,9 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 	out := sc.cands[:0]
 	pi := 0
 	for wi, w := range cand {
-		known := atomic.LoadUint64(&bm.known[wi])
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			bit := uint64(1) << uint(b)
-			w &^= bit
+			w &^= 1 << uint(b)
 			pos := wi<<6 + b
 			for pi+1 < len(bm.pageBase) && pos >= bm.pageBase[pi+1] {
 				pi++
@@ -293,11 +297,7 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 			if n == 0 {
 				continue // tombstone; live bit should already mask these
 			}
-			out = append(out, BitmapCand{
-				ID:    RecordID{Page: pi, Slot: slot},
-				N:     int32(n),
-				Known: known&bit != 0,
-			})
+			out = append(out, BitmapCand{ID: RecordID{Page: pi, Slot: slot}, N: int32(n)})
 		}
 	}
 	sc.cands = out
@@ -306,44 +306,33 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 
 // ScanBitmap runs the word-parallel kernel over the view: it charges
 // the partition's full visit — every page and every live record's
-// bytes, identical to a completed Scan — in one bulk operation, then
-// returns the candidate records the program could not rule out. The
-// caller decodes candidates via Record; everything else was skipped at
-// 64 records per word op. ok is false when the view predates the matrix
-// (e.g. a decoded cold image), in which case nothing is charged and the
-// caller must fall back to Scan.
+// bytes, identical to a completed Segment.Scan — in one bulk operation,
+// then returns the candidate records the program could not rule out.
+// The caller decodes candidates via Record; everything else was skipped
+// at 64 records per word op.
 //
 // The returned slice aliases sc's buffers and is valid until sc's next
 // use. words is the number of 64-bit word operations performed.
-func (v *SegView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64, ok bool) {
-	if v.bm.live == nil && v.live > 0 {
-		return nil, 0, false
-	}
+func (v *SegView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64) {
 	for pi := range v.pages {
 		if v.cache != nil {
 			v.cache.touch(v.cacheID, pi)
 		}
 	}
 	v.stats.addRead(int64(len(v.pages)), v.bytes, int64(v.live))
-	cands, words = v.bm.run(prog, sc, func(page, slot int) int {
+	return v.bm.run(prog, sc, func(page, slot int) int {
 		_, n := v.pages[page].slot(slot)
 		return n
 	})
-	return cands, words, true
 }
 
 // ScanBitmap is ColdView's kernel entry point. The ordinary charges are
 // identical to the hot path; candidate record lengths come from the hot
 // per-slot length table, so a frozen partition whose candidates all
 // fall in a few blocks only ever inflates those blocks (Record charges
-// the cold counters on inflation, exactly like the per-record path).
-// ok is false when the segment lacks the hot matrix or length table
-// (a decoded cold image); nothing is charged then.
-func (v ColdView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64, ok bool) {
+// the cold counters on inflation).
+func (v ColdView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64) {
 	c := v.c
-	if (c.bm.live == nil && c.live > 0) || (c.lens == nil && c.numPages > 0) {
-		return nil, 0, false
-	}
 	for pi := 0; pi < c.numPages; pi++ {
 		if c.cache != nil {
 			c.cache.touch(c.cacheID, pi)
@@ -351,8 +340,7 @@ func (v ColdView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []Bit
 	}
 	c.stats.addRead(int64(c.numPages), c.bytes, int64(c.live))
 	bm := c.bm.view()
-	cands, words = bm.run(prog, sc, func(page, slot int) int {
+	return bm.run(prog, sc, func(page, slot int) int {
 		return int(c.lens[page][slot])
 	})
-	return cands, words, true
 }

@@ -2,30 +2,56 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cinderella/internal/synopsis"
 )
 
-// sidecarCands is the per-record oracle: the candidate set the sidecar
-// scan would decode for prog — every live record whose synopsis is
-// unknown or satisfies the program's combiner.
-func sidecarCands(v interface {
-	Scan(fn func(id RecordID, n int, syn *synopsis.Set) bool)
-}, prog BitmapProgram) []BitmapCand {
+// recAttrs decodes the attribute set a test record carries in its
+// payload ("...|a,b,c"): the oracle derives every record's synopsis from
+// its bytes, independently of the matrix.
+func recAttrs(rec []byte) *synopsis.Set {
+	syn := synopsis.New(0)
+	i := strings.LastIndexByte(string(rec), '|')
+	if i < 0 || i == len(rec)-1 {
+		return syn
+	}
+	for _, f := range strings.Split(string(rec[i+1:]), ",") {
+		a, err := strconv.Atoi(f)
+		if err != nil {
+			panic(err)
+		}
+		syn.Add(a)
+	}
+	return syn
+}
+
+// taggedRec builds record i's payload carrying its attribute set.
+func taggedRec(i int, attrs ...int) ([]byte, *synopsis.Set) {
+	parts := make([]string, len(attrs))
+	for k, a := range attrs {
+		parts[k] = strconv.Itoa(a)
+	}
+	return []byte(fmt.Sprintf("record-%04d-padding-padding-padding|%s", i, strings.Join(parts, ","))), synopsis.Of(attrs...)
+}
+
+// oracleCands is the brute-force oracle: a full Segment.Scan that
+// decodes every live record's attribute set from its payload and keeps
+// the records satisfying prog's combiner, in storage order.
+func oracleCands(seg *Segment, prog BitmapProgram) []BitmapCand {
 	var out []BitmapCand
 	q := synopsis.Of(prog.Attrs...)
-	v.Scan(func(id RecordID, n int, syn *synopsis.Set) bool {
-		keep := syn == nil
-		if !keep {
-			if prog.Disjunction {
-				keep = synopsis.Intersects(syn, q)
-			} else {
-				keep = synopsis.Subset(q, syn)
-			}
+	seg.Scan(func(id RecordID, rec []byte) bool {
+		syn := recAttrs(rec)
+		keep := synopsis.Subset(q, syn)
+		if prog.Disjunction {
+			keep = synopsis.Intersects(syn, q)
 		}
 		if keep {
-			out = append(out, BitmapCand{ID: id, N: int32(n), Known: syn != nil})
+			out = append(out, BitmapCand{ID: id, N: int32(len(rec))})
 		}
 		return true
 	})
@@ -44,21 +70,21 @@ func candsEqual(a, b []BitmapCand) bool {
 	return true
 }
 
-// bitmapSeg builds a segment with a mixed population: several pages,
-// tagged and untagged records, a variety of attribute sets, and a
-// sprinkling of deletes.
+// bitmapSeg builds a segment with a mixed population: several pages, a
+// variety of attribute sets (including records without attributes), and
+// a sprinkling of deletes.
 func bitmapSeg(t *testing.T, n int) *Segment {
 	t.Helper()
 	seg := NewSegment(nil)
 	for i := 0; i < n; i++ {
-		b := []byte(fmt.Sprintf("record-%04d-%s", i, "padding-padding-padding-padding"))
-		var err error
+		var b []byte
+		var syn *synopsis.Set
 		if i%11 == 10 {
-			_, err = seg.Insert(b) // untagged: unknown, always a candidate
+			b, syn = taggedRec(i)
 		} else {
-			_, err = seg.InsertTagged(b, synopsis.Of(i%7, 7+i%5, 12+i%3))
+			b, syn = taggedRec(i, i%7, 7+i%5, 12+i%3)
 		}
-		if err != nil {
+		if _, err := seg.InsertTagged(b, syn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,32 +110,32 @@ var bitmapProgs = []BitmapProgram{
 	{Attrs: []int{2, 8, 13}, Disjunction: false},
 	{Attrs: []int{99}, Disjunction: true},  // never-seen attribute
 	{Attrs: []int{99}, Disjunction: false}, // conjunction over a never-seen attribute
-	{Attrs: nil, Disjunction: true},        // empty program: only unknowns survive
+	{Attrs: nil, Disjunction: true},        // empty disjunction: nothing survives
+	{},                                     // empty conjunction: every live record
 }
 
-// TestBitmapKernelMatchesSidecar is the storage-level equivalence
+// TestBitmapKernelMatchesOracle is the storage-level equivalence
 // property: for disjunctive and conjunctive programs alike, the kernel's
-// candidate list is exactly the records the per-record sidecar scan
-// would decode, in the same storage order, across inserts, deletes,
+// candidate list is exactly the records a brute-force decode of every
+// live record keeps, in the same storage order, across inserts, deletes,
 // vacuum, and freeze/thaw cycles.
-func TestBitmapKernelMatchesSidecar(t *testing.T) {
+func TestBitmapKernelMatchesOracle(t *testing.T) {
 	seg := bitmapSeg(t, 700)
+	var sc BitmapScratch
 
-	check := func(stage string) {
+	check := func(stage string, v interface {
+		ScanBitmap(BitmapProgram, *BitmapScratch) ([]BitmapCand, int64)
+		Record(RecordID) []byte
+	}, oracle *Segment) {
 		t.Helper()
-		v := seg.View()
-		var sc BitmapScratch
 		for _, prog := range bitmapProgs {
-			got, words, ok := v.ScanBitmap(prog, &sc)
-			if !ok {
-				t.Fatalf("%s: ScanBitmap not ok for %+v", stage, prog)
+			got, words := v.ScanBitmap(prog, &sc)
+			if words == 0 && oracle.NumRecords() > 0 {
+				t.Fatalf("%s: kernel reported zero word ops over %d records", stage, oracle.NumRecords())
 			}
-			if words == 0 && v.NumRecords() > 0 {
-				t.Fatalf("%s: kernel reported zero word ops over %d records", stage, v.NumRecords())
-			}
-			want := sidecarCands(&v, prog)
+			want := oracleCands(oracle, prog)
 			if !candsEqual(got, want) {
-				t.Fatalf("%s: prog %+v: kernel yielded %d candidates, sidecar %d",
+				t.Fatalf("%s: prog %+v: kernel yielded %d candidates, oracle %d",
 					stage, prog, len(got), len(want))
 			}
 			// Candidate payloads must resolve.
@@ -121,40 +147,65 @@ func TestBitmapKernelMatchesSidecar(t *testing.T) {
 		}
 	}
 
-	check("initial")
+	v := seg.View()
+	check("initial", &v, seg)
 	seg.Vacuum()
-	check("after vacuum")
+	v = seg.View()
+	check("after vacuum", &v, seg)
 
+	// Freezing preserves record ids, so the pre-freeze segment is the
+	// cold view's oracle.
 	cold := FreezeSegment(seg)
-	cv := cold.View()
-	var sc BitmapScratch
-	for _, prog := range bitmapProgs {
-		got, _, ok := cv.ScanBitmap(prog, &sc)
-		if !ok {
-			t.Fatalf("cold: ScanBitmap not ok for %+v", prog)
-		}
-		want := sidecarCands(cv, prog)
-		if !candsEqual(got, want) {
-			t.Fatalf("cold: prog %+v: kernel %d candidates, sidecar %d", prog, len(got), len(want))
-		}
-	}
+	check("cold", cold.View(), seg)
 
 	thawed := cold.Thaw()
 	tv := thawed.View()
-	for _, prog := range bitmapProgs {
-		got, _, ok := tv.ScanBitmap(prog, &sc)
-		if !ok {
-			t.Fatalf("thawed: ScanBitmap not ok for %+v", prog)
+	check("thawed", &tv, thawed)
+}
+
+// TestBitmapVacuumMatchesRebuild pins Vacuum's matrix compaction: after
+// deletes and a vacuum, the compacted matrix equals one rebuilt from
+// scratch by inserting every surviving record, in order, with the
+// attribute set decoded from its payload.
+func TestBitmapVacuumMatchesRebuild(t *testing.T) {
+	seg := bitmapSeg(t, 900)
+	// Delete every record carrying attribute 16 so a whole row empties
+	// out and must be dropped by the compaction.
+	var doomed []RecordID
+	seg.Scan(func(id RecordID, rec []byte) bool {
+		if recAttrs(rec).Contains(16) {
+			doomed = append(doomed, id)
 		}
-		if want := sidecarCands(&tv, prog); !candsEqual(got, want) {
-			t.Fatalf("thawed: prog %+v: kernel %d candidates, sidecar %d", prog, len(got), len(want))
+		return true
+	})
+	for _, id := range doomed {
+		if err := seg.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg.Vacuum()
+
+	rebuilt := NewSegment(nil)
+	seg.Scan(func(_ RecordID, rec []byte) bool {
+		if _, err := rebuilt.InsertTagged(rec, recAttrs(rec)); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	if !reflect.DeepEqual(seg.bm, rebuilt.bm) {
+		t.Fatalf("vacuumed matrix differs from rebuild:\n got ids %v slots %d\nwant ids %v slots %d",
+			seg.bm.ids, seg.bm.slots, rebuilt.bm.ids, rebuilt.bm.slots)
+	}
+	for _, id := range seg.bm.ids {
+		if id == 16 {
+			t.Fatal("attribute 16 kept a presence row after all its records were vacuumed")
 		}
 	}
 }
 
 // TestBitmapChargesMatchScan pins the charging contract: a completed
-// per-record Scan and one ScanBitmap call charge identical Stats deltas
-// (pages, bytes, records) against the same view.
+// full Segment.Scan and one selective ScanBitmap call charge identical
+// Stats deltas (pages, bytes, records).
 func TestBitmapChargesMatchScan(t *testing.T) {
 	stats := &Stats{}
 	seg := NewSegment(stats)
@@ -167,14 +218,12 @@ func TestBitmapChargesMatchScan(t *testing.T) {
 	v := seg.View()
 
 	stats.Reset()
-	v.Scan(func(RecordID, int, *synopsis.Set) bool { return true })
+	seg.Scan(func(RecordID, []byte) bool { return true })
 	sp, _, sb, _, sr := stats.Snapshot()
 
 	stats.Reset()
 	var sc BitmapScratch
-	if _, _, ok := v.ScanBitmap(BitmapProgram{Attrs: []int{1}, Disjunction: true}, &sc); !ok {
-		t.Fatal("ScanBitmap not ok")
-	}
+	v.ScanBitmap(BitmapProgram{Attrs: []int{1}, Disjunction: true}, &sc)
 	bp, _, bb, _, br := stats.Snapshot()
 
 	if sp != bp || sb != bb || sr != br {
@@ -186,16 +235,13 @@ func TestBitmapChargesMatchScan(t *testing.T) {
 // TestBitmapViewStableUnderMutation captures a view, keeps mutating the
 // segment, and verifies the kernel still yields exactly the captured
 // candidate set — the bitmap matrix obeys the same snapshot contract as
-// the pages and the sidecar.
+// the pages.
 func TestBitmapViewStableUnderMutation(t *testing.T) {
 	seg := bitmapSeg(t, 500)
 	v := seg.View()
 	prog := BitmapProgram{Attrs: []int{2, 8}, Disjunction: false}
 	var sc BitmapScratch
-	before, _, ok := v.ScanBitmap(prog, &sc)
-	if !ok {
-		t.Fatal("ScanBitmap not ok")
-	}
+	before, _ := v.ScanBitmap(prog, &sc)
 	want := append([]BitmapCand(nil), before...)
 
 	// Churn: deletes, fresh inserts (growing the word arrays and adding
@@ -215,34 +261,49 @@ func TestBitmapViewStableUnderMutation(t *testing.T) {
 	}
 	seg.Vacuum()
 
-	got, _, ok := v.ScanBitmap(prog, &sc)
-	if !ok {
-		t.Fatal("ScanBitmap not ok after churn")
-	}
+	got, _ := v.ScanBitmap(prog, &sc)
 	if !candsEqual(got, want) {
 		t.Fatalf("captured view drifted: %d candidates, want %d", len(got), len(want))
 	}
 }
 
-// TestBitmapDecodedColdImageFallsBack pins the fallback contract: a cold
-// segment rebuilt from its wire encoding has neither the matrix nor the
-// length table, so ScanBitmap must decline (charging nothing) and leave
-// the caller on the per-record path.
-func TestBitmapDecodedColdImageFallsBack(t *testing.T) {
+// TestBitmapDecodedColdImageUnscannable pins the decoded-image contract:
+// a cold segment rebuilt from its file image has neither the matrix nor
+// the length table, so View and Thaw refuse it (a kernel scan would
+// silently find nothing), while point reads of its pages still work and
+// the refusal charges nothing.
+func TestBitmapDecodedColdImageUnscannable(t *testing.T) {
 	seg := bitmapSeg(t, 300)
+	var first RecordID
+	var firstRec []byte
+	seg.Scan(func(id RecordID, rec []byte) bool {
+		first, firstRec = id, append([]byte(nil), rec...)
+		return false
+	})
 	cold := FreezeSegment(seg)
 	stats := &Stats{}
 	dec, err := DecodeColdSegment(cold.Encode(), stats)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc BitmapScratch
-	_, _, ok := dec.View().ScanBitmap(BitmapProgram{Attrs: []int{1}, Disjunction: true}, &sc)
-	if ok {
-		t.Fatal("decoded cold image accepted ScanBitmap; want fallback")
+	for name, op := range map[string]func(){
+		"View": func() { dec.View() },
+		"Thaw": func() { dec.Thaw() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on a decoded cold image did not refuse", name)
+				}
+			}()
+			op()
+		}()
 	}
 	if p, b, r := statsTriple(stats); p != 0 || b != 0 || r != 0 {
-		t.Fatalf("declined ScanBitmap charged (pages=%d bytes=%d recs=%d); want nothing", p, b, r)
+		t.Fatalf("refused scan charged (pages=%d bytes=%d recs=%d); want nothing", p, b, r)
+	}
+	if rec, err := dec.Read(first); err != nil || string(rec) != string(firstRec) {
+		t.Fatalf("point read of decoded image = %q, %v; want %q", rec, err, firstRec)
 	}
 }
 
@@ -267,10 +328,7 @@ func TestBitmapColdPruneReadsNoColdBytes(t *testing.T) {
 	stats.Reset()
 
 	var sc BitmapScratch
-	cands, _, ok := cold.View().ScanBitmap(BitmapProgram{Attrs: []int{42}, Disjunction: true}, &sc)
-	if !ok {
-		t.Fatal("ScanBitmap not ok on frozen segment")
-	}
+	cands, _ := cold.View().ScanBitmap(BitmapProgram{Attrs: []int{42}, Disjunction: true}, &sc)
 	if len(cands) != 0 {
 		t.Fatalf("program over an absent attribute yielded %d candidates", len(cands))
 	}

@@ -95,7 +95,7 @@ func TestSegmentCacheIntegration(t *testing.T) {
 	rec := make([]byte, 3000)
 	var ids []RecordID
 	for i := 0; i < 6; i++ { // 2 per page -> 3 pages
-		id, err := seg.Insert(rec)
+		id, err := insertRec(seg, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSegmentCacheIntegration(t *testing.T) {
 
 func TestSegmentWithoutCache(t *testing.T) {
 	seg := NewSegment(nil)
-	seg.Insert([]byte("x"))
+	insertRec(seg, []byte("x"))
 	// Must not panic without a cache attached.
 	seg.Scan(func(RecordID, []byte) bool { return true })
 	seg.DropFromCache()
@@ -134,8 +134,8 @@ func TestTwoSegmentsShareCache(t *testing.T) {
 	a, b := NewSegment(nil), NewSegment(nil)
 	a.AttachCache(c)
 	b.AttachCache(c)
-	a.Insert([]byte("a"))
-	b.Insert([]byte("b"))
+	insertRec(a, []byte("a"))
+	insertRec(b, []byte("b"))
 	a.Scan(func(RecordID, []byte) bool { return true }) // miss, resident: a0
 	b.Scan(func(RecordID, []byte) bool { return true }) // miss, evicts a0
 	a.Scan(func(RecordID, []byte) bool { return true }) // miss again

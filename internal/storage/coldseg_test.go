@@ -44,13 +44,11 @@ func TestColdFreezeScanRoundTrip(t *testing.T) {
 
 	got := make(map[RecordID]string)
 	v := cold.View()
-	v.Scan(func(id RecordID, n int, syn *synopsis.Set) bool {
-		if syn == nil {
-			t.Fatalf("record %v lost its sidecar synopsis", id)
-		}
-		got[id] = string(v.Record(id))
-		return true
-	})
+	var sc BitmapScratch
+	cands, _ := v.ScanBitmap(BitmapProgram{}, &sc)
+	for _, c := range cands {
+		got[c.ID] = string(v.Record(c.ID))
+	}
 	if len(got) != len(want) {
 		t.Fatalf("scanned %d records, want %d", len(got), len(want))
 	}
@@ -88,14 +86,26 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 		if string(got) != rec {
 			t.Fatalf("record %v changed across freeze/thaw", id)
 		}
-		if thawed.Synopsis(id) == nil {
-			t.Fatalf("record %v lost its sidecar across freeze/thaw", id)
+	}
+	// The matrix survives the round trip: every record is still found
+	// by its attribute.
+	var sc BitmapScratch
+	tv := thawed.View()
+	for a := 0; a < 7; a++ {
+		cands, _ := tv.ScanBitmap(BitmapProgram{Attrs: []int{a}}, &sc)
+		for _, c := range cands {
+			if id := c.ID; want[id] == "" {
+				t.Fatalf("attribute %d yielded unknown record %v after thaw", a, id)
+			}
+		}
+		if len(cands) == 0 {
+			t.Fatalf("attribute %d lost across freeze/thaw", a)
 		}
 	}
 
 	// The thawed segment is mutable and must not corrupt still-live
 	// cold views: append and delete, then verify the cold view again.
-	if _, err := thawed.Insert([]byte("appended-after-thaw")); err != nil {
+	if _, err := thawed.InsertTagged([]byte("appended-after-thaw"), synopsis.Of(1)); err != nil {
 		t.Fatal(err)
 	}
 	var anyID RecordID
@@ -106,16 +116,14 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 	if err := thawed.Delete(anyID); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
 	v := cold.View()
-	v.Scan(func(id RecordID, _ int, _ *synopsis.Set) bool {
-		if string(v.Record(id)) != want[id] {
-			t.Fatalf("cold view of %v changed after thawed-segment mutation", id)
+	cands, _ := v.ScanBitmap(BitmapProgram{}, &sc)
+	for _, c := range cands {
+		if string(v.Record(c.ID)) != want[c.ID] {
+			t.Fatalf("cold view of %v changed after thawed-segment mutation", c.ID)
 		}
-		n++
-		return true
-	})
-	if n != len(want) {
+	}
+	if n := len(cands); n != len(want) {
 		t.Fatalf("cold view sees %d records after mutations, want %d", n, len(want))
 	}
 }

@@ -78,37 +78,32 @@ func (s *Stats) addWrite(pages, bytes int64) {
 // Segment is a heap file: an append-oriented chain of slotted pages. One
 // segment backs one partition.
 //
-// Alongside the pages the segment maintains the record-synopsis sidecar:
-// one attribute-synopsis pointer per slot, parallel to the page chain.
-// Scans over a published view test a query against the sidecar and decode
-// only records that can match — a word-AND instead of a full entity
-// decode for every non-matching record. A nil sidecar entry means
-// "unknown, decode to test"; tombstones are detected from the slot
-// directory (stored length 0), never from the sidecar.
+// Alongside the pages the segment maintains the attribute-presence
+// bitmap matrix (see bitmap.go): every record is inserted with its exact
+// attribute synopsis, and scans over a published view evaluate a query
+// against the matrix 64 records per word op, decoding only the records
+// it cannot rule out. Tombstones are detected from the slot directory
+// (stored length 0) and folded into the matrix's live bitset.
 //
-// Concurrency: mutations (Insert, Delete, Vacuum) require exclusive
-// access. Lock-free readers never touch a Segment directly — they scan a
-// SegView published by View() (see view.go), which stays valid under
-// concurrent mutation because mutations follow two rules:
+// Concurrency: mutations (InsertTagged, Delete, Vacuum) require
+// exclusive access. Lock-free readers never touch a Segment directly —
+// they scan a SegView published by View() (see view.go), which stays
+// valid under concurrent mutation because mutations follow two rules:
 //
 //   - Inserts only append: a new slot, its payload (written below the
 //     previous free offset), and the page header are the only bytes
 //     touched, and no published view reads any of them — views bound
-//     their iteration by the slot counts captured at View() time.
-//   - Everything else copies: Delete clones the 8 KiB page and its
-//     sidecar row and swaps the clones in; Vacuum rebuilds the chain from
-//     scratch. Pages and rows reachable from a view are never mutated.
+//     their iteration by the matrix position count captured at View()
+//     time.
+//   - Everything else copies: Delete clones the 8 KiB page and swaps the
+//     clone in; Vacuum rebuilds the chain from scratch. Pages reachable
+//     from a view are never mutated.
 //
 // The Stats counters and the optional BufferCache are internally
-// synchronized, so locked readers (Read, Scan) may also run concurrently
-// with each other, as the table layer's locked query mode relies on.
+// synchronized, so Read and Scan under a shared lock may also run
+// concurrently with each other.
 type Segment struct {
 	pages   []*Page
-	sidecar [][]*synopsis.Set // per page: one entry per slot, nil = unknown
-	// bm is the attribute-presence bitmap matrix (see bitmap.go): the
-	// sidecar transposed into attribute-major bitsets so snapshot scans
-	// can evaluate a query 64 records per word op. Maintained in
-	// lockstep with the sidecar by InsertTagged/Delete/Vacuum.
 	bm      bitmat
 	stats   *Stats
 	live    int   // live record count
@@ -126,26 +121,32 @@ func NewSegment(stats *Stats) *Segment {
 	return &Segment{stats: stats}
 }
 
-// Insert appends a record and returns its id. Insertion tries the last
-// page first and allocates a new page when it does not fit, matching heap
-// file append behaviour. The sidecar entry is unknown (nil); use
-// InsertTagged to attach the record's attribute synopsis.
-func (s *Segment) Insert(rec []byte) (RecordID, error) {
-	return s.InsertTagged(rec, nil)
+// noAttrs is the empty attribute set.
+var noAttrs = synopsis.New(0)
+
+// InsertTagged appends a record together with its attribute synopsis —
+// the record's exact attribute set (non-nil), which the presence matrix
+// records so scans can skip decoding records irrelevant to a query.
+// The synopsis is read, not retained. Insertion tries the last page
+// first and allocates a new page when it does not fit, matching heap
+// file append behaviour.
+func (s *Segment) InsertTagged(rec []byte, syn *synopsis.Set) (RecordID, error) {
+	id, err := s.appendRecord(rec)
+	if err != nil {
+		return RecordID{}, err
+	}
+	s.bm.noteInsert(syn)
+	return id, nil
 }
 
-// InsertTagged appends a record together with its attribute synopsis,
-// which snapshot scans use to skip decoding records irrelevant to a
-// query. The synopsis is retained by pointer and must not be mutated
-// afterwards (the table layer's entity synopses are write-once).
-func (s *Segment) InsertTagged(rec []byte, syn *synopsis.Set) (RecordID, error) {
+// appendRecord places rec at the end of the page chain; the caller
+// records the new matrix position.
+func (s *Segment) appendRecord(rec []byte) (RecordID, error) {
 	if len(rec) > MaxRecordSize {
 		return RecordID{}, ErrRecordTooLarge
 	}
 	if n := len(s.pages); n > 0 {
 		if slot, err := s.pages[n-1].Insert(rec); err == nil {
-			s.sidecar[n-1] = append(s.sidecar[n-1], syn)
-			s.bm.noteInsert(syn)
 			s.noteInsert(rec)
 			return RecordID{Page: n - 1, Slot: slot}, nil
 		}
@@ -156,9 +157,7 @@ func (s *Segment) InsertTagged(rec []byte, syn *synopsis.Set) (RecordID, error) 
 		return RecordID{}, err
 	}
 	s.pages = append(s.pages, p)
-	s.sidecar = append(s.sidecar, append(make([]*synopsis.Set, 0, 8), syn))
 	s.bm.notePage()
-	s.bm.noteInsert(syn)
 	s.noteInsert(rec)
 	return RecordID{Page: len(s.pages) - 1, Slot: slot}, nil
 }
@@ -184,9 +183,8 @@ func (s *Segment) Read(id RecordID) ([]byte, error) {
 	return rec, nil
 }
 
-// Delete tombstones the record for id. The page and its sidecar row are
-// copied, mutated, and swapped in — published views keep reading the
-// pre-delete state.
+// Delete tombstones the record for id. The page is copied, mutated, and
+// swapped in — published views keep reading the pre-delete state.
 func (s *Segment) Delete(id RecordID) error {
 	if id.Page < 0 || id.Page >= len(s.pages) {
 		return ErrNotFound
@@ -200,14 +198,7 @@ func (s *Segment) Delete(id RecordID) error {
 	if !np.Delete(id.Slot) {
 		return ErrNotFound
 	}
-	row := s.sidecar[id.Page]
-	nrow := make([]*synopsis.Set, len(row))
-	copy(nrow, row)
-	if id.Slot < len(nrow) {
-		nrow[id.Slot] = nil
-	}
 	s.pages[id.Page] = np
-	s.sidecar[id.Page] = nrow
 	s.bm.noteDelete(id.Page, id.Slot)
 	s.live--
 	s.bytes -= n
@@ -235,32 +226,19 @@ func (s *Segment) Scan(fn func(id RecordID, rec []byte) bool) {
 	}
 }
 
-// Synopsis returns the sidecar entry for id (nil when unknown or id is
-// not live).
-func (s *Segment) Synopsis(id RecordID) *synopsis.Set {
-	if id.Page < 0 || id.Page >= len(s.sidecar) {
-		return nil
-	}
-	row := s.sidecar[id.Page]
-	if id.Slot < 0 || id.Slot >= len(row) {
-		return nil
-	}
-	return row[id.Slot]
-}
-
 // Vacuum rewrites the segment without tombstones, reclaiming the space of
-// deleted records and dropping empty pages. Sidecar entries move with
-// their records. Record ids change; the returned map gives old → new ids
-// for the caller to remap its indexes. The rewrite is charged to the
-// write counters like a physical copy. Published views keep the old page
-// chain.
+// deleted records and dropping empty pages. The presence matrix is
+// compacted alongside: each attribute row keeps the bits of the
+// surviving positions, renumbered densely. Record ids change; the
+// returned map gives old → new ids for the caller to remap its indexes.
+// The rewrite is charged to the write counters like a physical copy.
+// Published views keep the old page chain and matrix.
 func (s *Segment) Vacuum() map[RecordID]RecordID {
 	remap := make(map[RecordID]RecordID, s.live)
-	old := s.pages
-	oldSidecar := s.sidecar
+	keep := make([]int, 0, s.live) // old matrix position of each survivor
+	old, oldBM := s.pages, s.bm
 	s.pages = nil
-	s.sidecar = nil
-	s.bm = bitmat{} // rebuilt by the re-inserts below
+	s.bm = bitmat{}
 	s.live = 0
 	s.bytes = 0
 	s.DropFromCache()
@@ -271,23 +249,21 @@ func (s *Segment) Vacuum() map[RecordID]RecordID {
 		s.cacheID = segmentIDs.Add(1)
 	}
 	for pi, p := range old {
-		row := oldSidecar[pi]
 		for slot := 0; slot < p.NumSlots(); slot++ {
 			rec, ok := p.Read(slot)
 			if !ok {
 				continue
 			}
-			var syn *synopsis.Set
-			if slot < len(row) {
-				syn = row[slot]
-			}
-			nid, err := s.InsertTagged(rec, syn)
+			nid, err := s.appendRecord(rec)
 			if err != nil {
 				panic("storage: vacuum re-insert failed: " + err.Error())
 			}
+			s.bm.noteInsert(noAttrs) // rows are filled by compactRows below
+			keep = append(keep, oldBM.pageBase[pi]+slot)
 			remap[RecordID{Page: pi, Slot: slot}] = nid
 		}
 	}
+	s.bm.compactRows(&oldBM, keep)
 	return remap
 }
 

@@ -125,7 +125,7 @@ func TestSegmentInsertReadDelete(t *testing.T) {
 	seg := NewSegment(st)
 	var ids []RecordID
 	for i := 0; i < 100; i++ {
-		id, err := seg.Insert([]byte(fmt.Sprintf("record-%03d", i)))
+		id, err := insertRec(seg, []byte(fmt.Sprintf("record-%03d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSegmentSpansPages(t *testing.T) {
 	seg := NewSegment(nil)
 	rec := make([]byte, 2000)
 	for i := 0; i < 20; i++ {
-		if _, err := seg.Insert(rec); err != nil {
+		if _, err := insertRec(seg, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestSegmentScan(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := fmt.Sprintf("r%02d", i)
 		want = append(want, s)
-		if _, err := seg.Insert([]byte(s)); err != nil {
+		if _, err := insertRec(seg, []byte(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestSegmentScan(t *testing.T) {
 func TestSegmentScanEarlyStop(t *testing.T) {
 	seg := NewSegment(nil)
 	for i := 0; i < 10; i++ {
-		seg.Insert([]byte("x"))
+		insertRec(seg, []byte("x"))
 	}
 	n := 0
 	seg.Scan(func(RecordID, []byte) bool {
@@ -216,7 +216,7 @@ func TestSegmentScanSkipsDeleted(t *testing.T) {
 	seg := NewSegment(nil)
 	var ids []RecordID
 	for i := 0; i < 10; i++ {
-		id, _ := seg.Insert([]byte{byte('0' + i)})
+		id, _ := insertRec(seg, []byte{byte('0' + i)})
 		ids = append(ids, id)
 	}
 	seg.Delete(ids[3])
@@ -237,8 +237,8 @@ func TestSegmentScanSkipsDeleted(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	st := &Stats{}
 	seg := NewSegment(st)
-	seg.Insert(make([]byte, 100))
-	seg.Insert(make([]byte, 200))
+	insertRec(seg, make([]byte, 100))
+	insertRec(seg, make([]byte, 200))
 	_, pw, _, bw, _ := st.Snapshot()
 	if pw != 2 || bw != 300 {
 		t.Fatalf("writes: pages=%d bytes=%d", pw, bw)
@@ -260,8 +260,8 @@ func TestStatsAccounting(t *testing.T) {
 func TestSegmentSharedStats(t *testing.T) {
 	st := &Stats{}
 	a, b := NewSegment(st), NewSegment(st)
-	a.Insert(make([]byte, 10))
-	b.Insert(make([]byte, 20))
+	insertRec(a, make([]byte, 10))
+	insertRec(b, make([]byte, 20))
 	_, pw, _, bw, _ := st.Snapshot()
 	if pw != 2 || bw != 30 {
 		t.Fatalf("shared stats: pages=%d bytes=%d", pw, bw)
@@ -310,7 +310,7 @@ func TestPropSegmentLiveBytesInvariant(t *testing.T) {
 		for _, op := range ops {
 			if op%3 != 0 || len(ids) == 0 {
 				n := int(op%300) + 1
-				id, err := seg.Insert(make([]byte, n))
+				id, err := insertRec(seg, make([]byte, n))
 				if err != nil {
 					return false
 				}
@@ -340,7 +340,7 @@ func BenchmarkSegmentInsert(b *testing.B) {
 	rec := make([]byte, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := seg.Insert(rec); err != nil {
+		if _, err := insertRec(seg, rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func BenchmarkSegmentScan(b *testing.B) {
 	seg := NewSegment(nil)
 	rec := make([]byte, 120)
 	for i := 0; i < 10000; i++ {
-		seg.Insert(rec)
+		insertRec(seg, rec)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,7 +367,7 @@ func TestSegmentVacuum(t *testing.T) {
 	rec := make([]byte, 2000) // 4 per page
 	var ids []RecordID
 	for i := 0; i < 20; i++ {
-		id, _ := seg.Insert(rec)
+		id, _ := insertRec(seg, rec)
 		ids = append(ids, id)
 	}
 	// Delete 3 of every 4 records: pages become mostly dead.
@@ -408,10 +408,16 @@ func TestSegmentVacuumEmpty(t *testing.T) {
 	if remap := seg.Vacuum(); len(remap) != 0 {
 		t.Fatal("vacuum of empty segment returned mappings")
 	}
-	id, _ := seg.Insert([]byte("x"))
+	id, _ := insertRec(seg, []byte("x"))
 	seg.Delete(id)
 	seg.Vacuum()
 	if seg.NumPages() != 0 || seg.NumRecords() != 0 {
 		t.Fatalf("fully-deleted segment not emptied: %d pages", seg.NumPages())
 	}
+}
+
+// insertRec appends rec with an empty attribute set, for tests that
+// exercise page and segment mechanics rather than the presence matrix.
+func insertRec(s *Segment, rec []byte) (RecordID, error) {
+	return s.InsertTagged(rec, noAttrs)
 }

@@ -7,58 +7,9 @@ import (
 	"cinderella/internal/synopsis"
 )
 
-// TestSidecarTagging covers the record-synopsis sidecar bookkeeping:
-// tagged inserts retain the synopsis by pointer, untagged inserts stay
-// unknown, deletes clear the entry, and vacuum moves entries with their
-// records.
-func TestSidecarTagging(t *testing.T) {
-	seg := NewSegment(nil)
-	synA := synopsis.Of(1, 2)
-	synB := synopsis.Of(3)
-
-	idA, err := seg.InsertTagged([]byte("aaa"), synA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := seg.InsertTagged([]byte("bbb"), synB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idC, err := seg.Insert([]byte("ccc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := seg.Synopsis(idA); got != synA {
-		t.Fatalf("Synopsis(A) = %v, want the tagged pointer", got)
-	}
-	if got := seg.Synopsis(idB); got != synB {
-		t.Fatalf("Synopsis(B) = %v, want the tagged pointer", got)
-	}
-	if got := seg.Synopsis(idC); got != nil {
-		t.Fatalf("Synopsis(untagged) = %v, want nil", got)
-	}
-
-	if err := seg.Delete(idA); err != nil {
-		t.Fatal(err)
-	}
-	if got := seg.Synopsis(idA); got != nil {
-		t.Fatalf("Synopsis(deleted) = %v, want nil", got)
-	}
-
-	remap := seg.Vacuum()
-	nb, ok := remap[idB]
-	if !ok {
-		t.Fatal("vacuum lost record B")
-	}
-	if got := seg.Synopsis(nb); got == nil || !got.Equal(synB) {
-		t.Fatalf("Synopsis after vacuum = %v, want %v", got, synB)
-	}
-}
-
 // TestViewImmutableUnderMutation is the storage-level snapshot property:
 // a view captured before deletes, appends, and vacuum keeps returning
-// exactly the captured records, bytes, and sidecar synopses.
+// exactly the captured records, bytes, and attribute rows.
 func TestViewImmutableUnderMutation(t *testing.T) {
 	seg := NewSegment(nil)
 	type rec struct {
@@ -89,7 +40,7 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if _, err := seg.Insert([]byte(fmt.Sprintf("late-%05d-%s", i, "padding-padding"))); err != nil {
+		if _, err := seg.InsertTagged([]byte(fmt.Sprintf("late-%05d-%s", i, "padding-padding")), synopsis.Of(i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -98,30 +49,36 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 	if v.NumRecords() != len(want) {
 		t.Fatalf("view live count %d, want %d", v.NumRecords(), len(want))
 	}
-	i := 0
-	v.Scan(func(id RecordID, n int, syn *synopsis.Set) bool {
-		if i >= len(want) {
-			t.Fatalf("view yielded more than the captured %d records", len(want))
+	// Every attribute row still yields exactly its captured records: the
+	// deletes came after the capture.
+	var sc BitmapScratch
+	for a := 0; a < 7; a++ {
+		var live []rec
+		for _, r := range want {
+			if r.syn.Contains(a) {
+				live = append(live, r)
+			}
 		}
-		w := want[i]
-		if id != w.id || n != len(w.b) || syn != w.syn {
-			t.Fatalf("view record %d = (%v,%d,%v), want (%v,%d,%v)",
-				i, id, n, syn, w.id, len(w.b), w.syn)
+		cands, _ := v.ScanBitmap(BitmapProgram{Attrs: []int{a}}, &sc)
+		if len(cands) != len(live) {
+			t.Fatalf("attribute %d: view yielded %d records, want %d", a, len(cands), len(live))
 		}
-		if got := string(v.Record(id)); got != w.b {
-			t.Fatalf("view record %d bytes = %q, want %q", i, got, w.b)
+		for i, c := range cands {
+			w := live[i]
+			if c.ID != w.id || int(c.N) != len(w.b) {
+				t.Fatalf("attribute %d record %d = (%v,%d), want (%v,%d)", a, i, c.ID, c.N, w.id, len(w.b))
+			}
+			if got := string(v.Record(c.ID)); got != w.b {
+				t.Fatalf("attribute %d record %d bytes = %q, want %q", a, i, got, w.b)
+			}
 		}
-		i++
-		return true
-	})
-	if i != len(want) {
-		t.Fatalf("view yielded %d records, want %d", i, len(want))
 	}
 }
 
-// TestViewChargesLikeLockedScan pins the accounting contract: a view
-// scan charges the shared Stats exactly like Segment.Scan over the same
-// data — per-page and per-record, whether or not the caller decodes.
+// TestViewChargesLikeLockedScan pins the accounting contract: a kernel
+// scan of a view charges the shared Stats exactly like Segment.Scan (the
+// scan the write-locked paths use) over the same data — every page and
+// every live record, whether or not the caller decodes.
 func TestViewChargesLikeLockedScan(t *testing.T) {
 	mk := func() *Segment {
 		seg := NewSegment(&Stats{})
@@ -149,7 +106,8 @@ func TestViewChargesLikeLockedScan(t *testing.T) {
 
 	snap := mk()
 	v := snap.View()
-	v.Scan(func(_ RecordID, _ int, _ *synopsis.Set) bool { return true })
+	var sc BitmapScratch
+	v.ScanBitmap(BitmapProgram{Attrs: []int{0}, Disjunction: true}, &sc)
 	spr, _, sbr, _, srr := snap.Stats().Snapshot()
 
 	if lpr != spr || lbr != sbr || lrr != srr {

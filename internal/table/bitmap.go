@@ -7,23 +7,21 @@ import (
 	"cinderella/internal/synopsis"
 )
 
-// The bitmap-accelerated snapshot scan path.
+// The scan path.
 //
-// Snapshot Select/SelectWhere scans default to the word-parallel kernel
-// (storage.ScanBitmap): the query compiles into a BitmapProgram over
-// the partition's attribute-presence matrix, the kernel yields the
-// candidate records 64 per word op, and only candidates are decoded.
-// The decode set — and therefore the results, every QueryReport field,
-// and every Stats delta — is bit-identical to the per-record sidecar
-// scan (scanSnapPart/scanSnapPartWhere), which remains the fallback for
-// views that predate the matrix and the differential-testing oracle.
-// SetBitmapScans(false) forces the sidecar path everywhere; locked mode
-// (SetLockedReads) is untouched and stays the full-decode baseline.
+// Select, SelectWhere, and ScanAll all scan a captured snapshot through
+// the word-parallel kernel (storage.ScanBitmap): the query compiles into
+// a BitmapProgram over each surviving partition's attribute-presence
+// matrix, the kernel yields the candidate records 64 per word op, and
+// only candidates are decoded. The matrix rows are the entities' exact
+// attribute sets, so a Select candidate is a hit by construction and a
+// SelectWhere candidate only needs its value predicates tested. ScanAll
+// runs the empty conjunction, which yields every live record.
 
 // scanScratch is one partition scan's pooled working set: the kernel's
 // buffers (resolved attribute rows, candidate bitset, candidate list)
-// plus the hit buffer. Pooling them makes the steady-state bitmap scan
-// loop allocation-free (see TestBitmapScanSteadyStateZeroAlloc).
+// plus the hit buffer. Pooling them makes the steady-state scan loop
+// allocation-free (see TestBitmapScanSteadyStateZeroAlloc).
 type scanScratch struct {
 	bm   storage.BitmapScratch
 	hits []Result
@@ -31,14 +29,10 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func getScanScratch() *scanScratch {
-	return scanScratchPool.Get().(*scanScratch)
-}
-
-// releaseScanScratches returns every bitmap-scanned partition's scratch
-// to the pool. Callers must be done with the hit slices (mergeScans has
-// copied them out). Hit entries are cleared so pooled buffers do not
-// pin decoded entities.
+// releaseScanScratches returns every partition's scratch to the pool.
+// Callers must be done with the hit slices (mergeScans has copied them
+// out). Hit entries are cleared so pooled buffers do not pin decoded
+// entities.
 func releaseScanScratches(parts []partScan) {
 	for i := range parts {
 		sc := parts[i].scratch
@@ -65,95 +59,35 @@ func whereProgram(need *synopsis.Set) storage.BitmapProgram {
 	return storage.BitmapProgram{Attrs: need.Elements(nil)}
 }
 
-// scanSnapPartBitmap is the bitmap-kernel counterpart of scanSnapPart:
-// one partition snapshot, attribute-set query q. ok=false means the
-// view predates the matrix (nothing was charged); the caller falls back
-// to the per-record path.
-func scanSnapPartBitmap(ps *partSnap, q *synopsis.Set, prog storage.BitmapProgram) (partScan, bool) {
-	scratch := getScanScratch()
+// scanPart scans one partition snapshot: the kernel evaluates prog, and
+// every candidate is decoded and kept when it satisfies preds (nil keeps
+// every candidate — Select and ScanAll, whose programs are exact).
+func scanPart(ps *partSnap, prog storage.BitmapProgram, preds []Pred) partScan {
+	scratch := scanScratchPool.Get().(*scanScratch)
 	v := ps.reader()
-	cands, words, ok := v.ScanBitmap(prog, &scratch.bm)
-	if !ok {
-		scanScratchPool.Put(scratch)
-		return partScan{}, false
-	}
-	sc := partScan{pid: ps.pid, scratch: scratch, bitmap: true, bitmapWords: words}
+	cands, words := v.ScanBitmap(prog, &scratch.bm)
+	sc := partScan{pid: ps.pid, scratch: scratch, bitmapWords: words}
 	sc.hits = scratch.hits[:0]
 	var bytesDec int64
 	for i := range cands {
-		id, n := cands[i].ID, int64(cands[i].N)
-		eid, e, err := decodeRecord(v.Record(id))
+		n := int64(cands[i].N)
+		eid, e, err := decodeRecord(v.Record(cands[i].ID))
 		if err != nil {
-			panic("table: corrupt record during bitmap scan: " + err.Error())
+			panic("table: corrupt record during scan: " + err.Error())
 		}
 		bytesDec += n
-		// A known candidate provably intersects q (the matrix rows are the
-		// entities' exact attribute sets); only unknown-synopsis records
-		// need the post-decode test — mirroring scanSnapPart.
-		if q == nil || cands[i].Known || synopsis.Intersects(e.Synopsis(), q) {
+		if preds == nil || entityMatches(e, preds) {
 			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
 			sc.bytesHit += n
 		}
 	}
 	scratch.hits = sc.hits
-	sc.finishBitmap(v, len(cands), bytesDec)
-	return sc, true
-}
-
-// scanSnapPartWhereBitmap is the bitmap-kernel counterpart of
-// scanSnapPartWhere: candidates have (or might have — nil sidecar) all
-// predicate attributes; each is decoded and tested against the full
-// conjunction.
-func scanSnapPartWhereBitmap(ps *partSnap, preds []Pred, prog storage.BitmapProgram) (partScan, bool) {
-	scratch := getScanScratch()
-	v := ps.reader()
-	cands, words, ok := v.ScanBitmap(prog, &scratch.bm)
-	if !ok {
-		scanScratchPool.Put(scratch)
-		return partScan{}, false
-	}
-	sc := partScan{pid: ps.pid, scratch: scratch, bitmap: true, bitmapWords: words}
-	sc.hits = scratch.hits[:0]
-	var bytesDec int64
-	for i := range cands {
-		id, n := cands[i].ID, int64(cands[i].N)
-		eid, e, err := decodeRecord(v.Record(id))
-		if err != nil {
-			panic("table: corrupt record during bitmap scan: " + err.Error())
-		}
-		bytesDec += n
-		if entityMatches(e, preds) {
-			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
-			sc.bytesHit += n
-		}
-	}
-	scratch.hits = sc.hits
-	sc.finishBitmap(v, len(cands), bytesDec)
-	return sc, true
-}
-
-// finishBitmap fills the visit counters from the bulk-charged view
-// state: every live record was visited (and charged), candidates were
-// decoded, the rest were skipped by the kernel.
-func (sc *partScan) finishBitmap(v recView, decoded int, bytesDec int64) {
+	// The kernel charged every live record's visit in bulk: candidates
+	// were decoded, the rest were skipped without decoding.
 	sc.scanned = v.NumRecords()
 	sc.bytesRead = v.LiveBytes()
-	sc.decoded = decoded
-	sc.skipped = sc.scanned - decoded
+	sc.decoded = len(cands)
+	sc.skipped = sc.scanned - sc.decoded
 	sc.bytesSkip = sc.bytesRead - bytesDec
-	sc.bitmapHits = int64(decoded)
+	return sc
 }
-
-// SetBitmapScans switches snapshot Select/SelectWhere scans between the
-// word-parallel bitmap kernel (default, true) and the per-record
-// sidecar path. The sidecar path is retained as the comparison baseline
-// for benchmarks and the differential equivalence tests; results,
-// QueryReport, and Stats deltas are identical in both modes. Locked
-// mode (SetLockedReads) is unaffected.
-func (t *Table) SetBitmapScans(on bool) {
-	t.bitmapScans.Store(on)
-}
-
-// BitmapScans reports whether the bitmap kernel is active for snapshot
-// scans.
-func (t *Table) BitmapScans() bool { return t.bitmapScans.Load() }

@@ -6,16 +6,13 @@ import (
 	"time"
 
 	"cinderella/internal/core"
-	"cinderella/internal/storage"
-	"cinderella/internal/synopsis"
 )
 
 // Parallel partition scans.
 //
 // Queries that survive pruning scan each remaining partition
-// independently: partitions are disjoint, and each scan runs either
-// against an immutable snapshot (default mode) or under the table's read
-// lock, so the scans are embarrassingly parallel in both modes.
+// independently: partitions are disjoint, and each scan runs against an
+// immutable snapshot, so the scans are embarrassingly parallel.
 // runScans fans the per-partition work out over a bounded worker pool.
 // Determinism is preserved by construction — worker i-th unit writes only
 // slot i of a pre-sized result array, and the caller concatenates slots in
@@ -72,81 +69,25 @@ func (t *Table) runTimedScans(parts []partScan, timed bool, scan func(i int) par
 
 // partScan is one partition's private scan buffer: hits in storage order
 // plus the records-visited and byte-volume counters. decoded and skipped
-// split the visited records by whether the sidecar synopsis let the scan
-// avoid the decode; they feed the telemetry decode counters, the heat
-// map, and query spans only — never QueryReport.
+// split the visited records by whether the kernel let the scan avoid the
+// decode; they feed the telemetry decode counters, the heat map, and
+// query spans only — never QueryReport.
 type partScan struct {
 	pid       core.PartitionID
 	hits      []Result
 	scanned   int
 	decoded   int   // records actually decoded
-	skipped   int   // records pruned (sidecar word-AND or bitmap kernel) without decoding
+	skipped   int   // records the kernel ruled out without decoding
 	bytesRead int64 // live record bytes visited
 	bytesHit  int64 // live record bytes of hits (relevant to the query)
 	bytesSkip int64 // live record bytes of skipped records
 	ns        int64 // scan wall time; recorded only for sampled spans
 
-	// Bitmap-kernel attribution (see bitmap.go). scratch is the pooled
-	// buffer set backing hits; the query path releases it after the hits
-	// have been merged and the span published.
-	bitmap      bool
+	// bitmapWords is the kernel's word-op count (see bitmap.go). scratch
+	// is the pooled buffer set backing hits; the query path releases it
+	// after the hits have been merged and the span published.
 	bitmapWords int64
-	bitmapHits  int64
 	scratch     *scanScratch
-}
-
-// scanPartition scans one partition's segment, decoding every live record
-// (the union branch for this partition) and filtering by the query
-// synopsis. A nil q keeps every record (full scan).
-func (t *Table) scanPartition(pid core.PartitionID, q *synopsis.Set) partScan {
-	seg, hot := t.segs[pid]
-	if !hot {
-		// Frozen partition: locked mode scans the cold view in place (the
-		// segment is immutable under the read lock anyway). QueryReport
-		// counters are identical to the hot path.
-		return scanSnapPart(&partSnap{pid: pid, cold: t.cold[pid].View()}, q)
-	}
-	ps := partScan{pid: pid}
-	seg.Scan(func(rid storage.RecordID, rec []byte) bool {
-		ps.scanned++
-		ps.bytesRead += int64(len(rec))
-		id, e, err := decodeRecord(rec)
-		if err != nil {
-			panic("table: corrupt record during scan: " + err.Error())
-		}
-		ps.decoded++
-		if q == nil || synopsis.Intersects(e.Synopsis(), q) {
-			ps.hits = append(ps.hits, Result{ID: id, Entity: e})
-			ps.bytesHit += int64(len(rec))
-		}
-		return true
-	})
-	return ps
-}
-
-// scanPartitionWhere scans one partition's segment filtering by value
-// predicates (conjunction).
-func (t *Table) scanPartitionWhere(pid core.PartitionID, preds []Pred) partScan {
-	seg, hot := t.segs[pid]
-	if !hot {
-		return scanSnapPartWhere(&partSnap{pid: pid, cold: t.cold[pid].View()}, preds, predNeed(preds))
-	}
-	ps := partScan{pid: pid}
-	seg.Scan(func(_ storage.RecordID, rec []byte) bool {
-		ps.scanned++
-		ps.bytesRead += int64(len(rec))
-		id, e, err := decodeRecord(rec)
-		if err != nil {
-			panic("table: corrupt record during scan: " + err.Error())
-		}
-		ps.decoded++
-		if entityMatches(e, preds) {
-			ps.hits = append(ps.hits, Result{ID: id, Entity: e})
-			ps.bytesHit += int64(len(rec))
-		}
-		return true
-	})
-	return ps
 }
 
 // mergeScans concatenates per-partition buffers in slot (= partition-id)

@@ -53,12 +53,10 @@ func (t *Table) SelectSynopsis(q *synopsis.Set) []Result {
 }
 
 // SelectWithReport runs the query and also returns execution counters.
-// Surviving partitions are scanned by the worker pool (see parallel.go);
-// results arrive in ascending partition-id order, identical to a serial
-// scan. In the default snapshot mode the query runs against a captured
-// consistent cut and never takes the table lock; in locked mode (see
-// SetLockedReads) it holds the shared read lock for the whole scan. The
-// results and every QueryReport counter are identical in both modes.
+// It runs against a captured consistent cut and never takes the table
+// lock. Surviving partitions are scanned by the worker pool (see
+// parallel.go); results arrive in ascending partition-id order,
+// identical to a serial scan.
 func (t *Table) SelectWithReport(q *synopsis.Set) ([]Result, QueryReport) {
 	return t.SelectSpanned(q, t.observer().StartQuery(obs.KindSelect))
 }
@@ -74,45 +72,6 @@ func (t *Table) SelectSpanned(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, Que
 	// Record the query's attribute shape into the recent-mix ring; the
 	// reclusterer derives its workload-relevance term from it.
 	t.observer().NoteQueryShape(q)
-	if t.lockedReads.Load() {
-		return t.selectLocked(q, sp)
-	}
-	return t.selectSnap(q, sp)
-}
-
-func (t *Table) selectLocked(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start := t.obsStart()
-
-	var rep QueryReport
-	pids := t.sortedPIDs()
-	rep.PartitionsTotal = len(pids)
-	survivors := pids[:0]
-	for _, pid := range pids {
-		syn := t.attrSyn[pid]
-		if syn == nil || !synopsis.Intersects(syn, q) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneSynopsisDisjoint)
-			continue
-		}
-		survivors = append(survivors, pid)
-	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return t.scanPartition(survivors[i], q)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	return out, rep
-}
-
-func (t *Table) selectSnap(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryReport) {
 	start := t.obsStart()
 	snap := t.capture()
 
@@ -130,18 +89,9 @@ func (t *Table) selectSnap(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryR
 	rep.PartitionsTouched = len(survivors)
 
 	parts := make([]partScan, len(survivors))
-	useBitmap := t.bitmapScans.Load()
-	var prog storage.BitmapProgram
-	if useBitmap {
-		prog = selectProgram(q)
-	}
+	prog := selectProgram(q)
 	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		if useBitmap {
-			if sc, ok := scanSnapPartBitmap(survivors[i], q, prog); ok {
-				return sc
-			}
-		}
-		return scanSnapPart(survivors[i], q)
+		return scanPart(survivors[i], prog, nil)
 	})
 	out := mergeScans(parts, &rep)
 
@@ -154,9 +104,8 @@ func (t *Table) selectSnap(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryR
 
 // ScanAll returns every live entity (a full table scan over all
 // partitions, no pruning possible). Partitions are scanned in parallel
-// like Select; the result order is ascending partition id, then storage
-// order within the partition. Like Select it runs lock-free against a
-// snapshot by default and under the read lock in locked mode.
+// like Select, lock-free against a snapshot; the result order is
+// ascending partition id, then storage order within the partition.
 func (t *Table) ScanAll() []Result {
 	return t.ScanAllSpanned(t.observer().StartQuery(obs.KindScanAll))
 }
@@ -170,31 +119,15 @@ func (t *Table) ScanAllSpanned(sp *obs.QuerySpan) []Result {
 		sp.SetQuery("scan-all")
 	}
 	start := t.obsStart()
-	if t.lockedReads.Load() {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		pids := t.sortedPIDs()
-		parts := make([]partScan, len(pids))
-		t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-			return t.scanPartition(pids[i], nil)
-		})
-		var rep QueryReport
-		rep.PartitionsTotal = len(pids)
-		rep.PartitionsTouched = len(pids)
-		out := mergeScans(parts, &rep)
-		t.noteScans(sp, parts, rep, lapNs(start))
-		return out
-	}
 	snap := t.capture()
 	parts := make([]partScan, len(snap.parts))
 	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return scanSnapPart(snap.parts[i], nil)
+		return scanPart(snap.parts[i], storage.BitmapProgram{}, nil)
 	})
-	var rep QueryReport
-	rep.PartitionsTotal = len(snap.parts)
-	rep.PartitionsTouched = len(snap.parts)
+	rep := QueryReport{PartitionsTotal: len(snap.parts), PartitionsTouched: len(snap.parts)}
 	out := mergeScans(parts, &rep)
 	t.noteScans(sp, parts, rep, lapNs(start))
+	releaseScanScratches(parts)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
+	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
 
@@ -16,10 +17,11 @@ import (
 func snapContents(snap tableSnap) map[core.EntityID]*entity.Entity {
 	out := make(map[core.EntityID]*entity.Entity)
 	for _, ps := range snap.parts {
-		sc := scanSnapPart(ps, nil)
+		sc := scanPart(ps, storage.BitmapProgram{}, nil)
 		for _, r := range sc.hits {
 			out[r.ID] = r.Entity
 		}
+		releaseScanScratches([]partScan{sc})
 	}
 	return out
 }
@@ -90,10 +92,12 @@ func TestSnapshotSeesPreMutationState(t *testing.T) {
 	}
 }
 
-// TestSnapshotLockedQueryEquivalence is the property test: on several
-// seeds, SelectWithReport and SelectWhere return identical results,
-// identical QueryReport counters, and identical simulated-I/O charges in
-// snapshot mode and in the historical locked mode.
+// TestSnapshotLockedQueryEquivalence is the model-progression property
+// test: on several seeds, after every phase of inserts, deletes,
+// updates, compaction, vacuum, and freeze/thaw transitions, snapshot
+// Select, SelectWhere, and ScanAll return exactly what a decode of every
+// record under the table's read lock yields — results, QueryReport
+// counters, and simulated-I/O charges.
 func TestSnapshotLockedQueryEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -101,69 +105,23 @@ func TestSnapshotLockedQueryEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tbl := newTestTable(0.35, 60)
 			var ids []core.EntityID
-			for i := 0; i < 500; i++ {
-				ids = append(ids, tbl.Insert(randomTestEntity(rng)))
-			}
-			for _, id := range ids {
-				switch rng.Intn(4) {
+			for phase := 0; phase < 6; phase++ {
+				for i := 0; i < 150; i++ {
+					ids = append(ids, tbl.Insert(randomTestEntity(rng)))
+				}
+				ids = churn(tbl, rng, ids, false)
+				switch phase % 3 {
 				case 0:
-					tbl.Delete(id)
+					tbl.Vacuum()
 				case 1:
-					tbl.Update(id, randomTestEntity(rng))
-				}
-			}
-
-			ioDelta := func(run func()) [5]int64 {
-				var before, after [5]int64
-				before[0], before[1], before[2], before[3], before[4] = tbl.Stats().Snapshot()
-				run()
-				after[0], after[1], after[2], after[3], after[4] = tbl.Stats().Snapshot()
-				for i := range after {
-					after[i] -= before[i]
-				}
-				return after
-			}
-
-			for probe := 0; probe < 12; probe++ {
-				q := synopsis.Of(probe, (probe+5)%12)
-
-				var lr, sr []Result
-				var lrep, srep QueryReport
-				lio := ioDelta(func() {
-					tbl.SetLockedReads(true)
-					lr, lrep = tbl.SelectWithReport(q)
-				})
-				sio := ioDelta(func() {
-					tbl.SetLockedReads(false)
-					sr, srep = tbl.SelectWithReport(q)
-				})
-				if lrep != srep {
-					t.Fatalf("probe %d: locked report %+v != snapshot report %+v", probe, lrep, srep)
-				}
-				if lio != sio {
-					t.Fatalf("probe %d: locked I/O %v != snapshot I/O %v", probe, lio, sio)
-				}
-				compareResults(t, probe, lr, sr)
-
-				preds := []Pred{{Attr: probe, Op: Ge, Value: entity.Int(10)}}
-				tbl.SetLockedReads(true)
-				lwr, lwrep := tbl.SelectWhere(preds)
-				tbl.SetLockedReads(false)
-				swr, swrep := tbl.SelectWhere(preds)
-				if lwrep != swrep {
-					t.Fatalf("where probe %d: locked report %+v != snapshot report %+v", probe, lwrep, swrep)
-				}
-				compareResults(t, probe, lwr, swr)
-
-				// The sidecar skip must never change the result set:
-				// brute force over the full scan agrees.
-				var brute []Result
-				for _, r := range tbl.ScanAll() {
-					if entityMatches(r.Entity, preds) {
-						brute = append(brute, r)
+					freezeLargest(tbl, 2)
+				case 2:
+					if frozen := tbl.FrozenPartitions(); len(frozen) > 0 {
+						tbl.ThawPartition(frozen[0])
 					}
+					tbl.Compact(0.5)
 				}
-				compareResults(t, probe, brute, swr)
+				checkAgainstOracle(t, tbl, fmt.Sprintf("phase %d", phase))
 			}
 		})
 	}
@@ -275,10 +233,7 @@ func TestSnapshotConcurrentWritersReaders(t *testing.T) {
 	default:
 	}
 
-	// After the dust settles, snapshot and locked full scans agree.
-	snapRes := tbl.ScanAll()
-	tbl.SetLockedReads(true)
-	lockRes := tbl.ScanAll()
-	tbl.SetLockedReads(false)
-	compareResults(t, -1, lockRes, snapRes)
+	// After the dust settles, the snapshot full scan agrees with a
+	// locked decode of every record.
+	compareResults(t, -1, oracleAll(lockedOracle(tbl)).res, tbl.ScanAll())
 }

@@ -61,24 +61,22 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 		t.Fatal("freeze of unknown partition succeeded")
 	}
 
-	// Both read modes return the identical result set from the cold tier.
-	for _, locked := range []bool{false, true} {
-		tbl.SetLockedReads(locked)
-		after := tbl.Select(50, 51)
-		if len(after) != len(before) {
-			t.Fatalf("locked=%v: %d hits after freeze, want %d", locked, len(after), len(before))
+	// The cold tier returns the identical result set, and agrees with a
+	// locked decode of every record.
+	after := tbl.Select(50, 51)
+	if len(after) != len(before) {
+		t.Fatalf("%d hits after freeze, want %d", len(after), len(before))
+	}
+	want := resultIDs(before)
+	for _, r := range after {
+		if !want[r.ID] {
+			t.Fatalf("unexpected hit %d", r.ID)
 		}
-		want := resultIDs(before)
-		for _, r := range after {
-			if !want[r.ID] {
-				t.Fatalf("locked=%v: unexpected hit %d", locked, r.ID)
-			}
-			if v, ok := r.Entity.Get(50); !ok || v.AsInt() != 50 {
-				t.Fatalf("locked=%v: entity %d content damaged", locked, r.ID)
-			}
+		if v, ok := r.Entity.Get(50); !ok || v.AsInt() != 50 {
+			t.Fatalf("entity %d content damaged", r.ID)
 		}
 	}
-	tbl.SetLockedReads(false)
+	compareResults(t, 0, oracleSelect(lockedOracle(tbl), synopsis.Of(50, 51)).res, after)
 
 	// Point reads work against the frozen partition.
 	anyID := before[0].ID
@@ -131,31 +129,27 @@ func TestFrozenPartitionPrunesWithoutColdBytes(t *testing.T) {
 		t.Fatal("freeze refused")
 	}
 
-	for _, locked := range []bool{false, true} {
-		tbl.SetLockedReads(locked)
-		stats.Reset()
-		if got := tbl.Select(1); len(got) != 40 {
-			t.Fatalf("locked=%v: Select(1) = %d hits", locked, len(got))
-		}
-		if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
-			t.Fatalf("locked=%v: pruned query read %d cold pages / %d cold bytes", locked, cp, cb)
-		}
-
-		// SelectWhere prunes by synopsis + zone maps, still zero cold I/O.
-		res, rep := tbl.SelectWhere([]Pred{{Attr: 2, Op: Ge, Value: entity.Int(0)}})
-		if len(res) != 40 || rep.PartitionsPruned == 0 {
-			t.Fatalf("locked=%v: SelectWhere = %d hits, pruned %d", locked, len(res), rep.PartitionsPruned)
-		}
-		if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
-			t.Fatalf("locked=%v: pruned SelectWhere read %d cold pages / %d cold bytes", locked, cp, cb)
-		}
-
-		// A query that needs the frozen partition still answers exactly.
-		if got := tbl.Select(50); len(got) != 40 {
-			t.Fatalf("locked=%v: Select(50) = %d hits", locked, len(got))
-		}
+	stats.Reset()
+	if got := tbl.Select(1); len(got) != 40 {
+		t.Fatalf("Select(1) = %d hits", len(got))
 	}
-	tbl.SetLockedReads(false)
+	if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
+		t.Fatalf("pruned query read %d cold pages / %d cold bytes", cp, cb)
+	}
+
+	// SelectWhere prunes by synopsis + zone maps, still zero cold I/O.
+	res, rep := tbl.SelectWhere([]Pred{{Attr: 2, Op: Ge, Value: entity.Int(0)}})
+	if len(res) != 40 || rep.PartitionsPruned == 0 {
+		t.Fatalf("SelectWhere = %d hits, pruned %d", len(res), rep.PartitionsPruned)
+	}
+	if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
+		t.Fatalf("pruned SelectWhere read %d cold pages / %d cold bytes", cp, cb)
+	}
+
+	// A query that needs the frozen partition still answers exactly.
+	if got := tbl.Select(50); len(got) != 40 {
+		t.Fatalf("Select(50) = %d hits", len(got))
+	}
 
 	// A scan that needs the cold tier charges the cold counters. Freeze
 	// afresh so the per-segment resident-block cache is empty and the

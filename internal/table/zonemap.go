@@ -258,7 +258,7 @@ func (t *Table) RebuildZoneMaps() {
 // predNeed validates preds and returns the set of predicate attributes.
 // An entity lacking any of them cannot satisfy the conjunction (SQL null
 // semantics), so the set prunes both partitions (against the partition
-// synopsis) and individual records (against the sidecar).
+// synopsis) and individual records (against the presence matrix).
 func predNeed(preds []Pred) *synopsis.Set {
 	if len(preds) == 0 {
 		panic("table: SelectWhere needs at least one predicate")
@@ -277,8 +277,8 @@ func predNeed(preds []Pred) *synopsis.Set {
 // Partitions are pruned when (a) their attribute synopsis misses any
 // predicate attribute or (b) any predicate cannot overlap the
 // partition's value zone for that attribute. Within surviving
-// partitions, snapshot scans additionally skip — without decoding —
-// records whose sidecar synopsis misses a predicate attribute.
+// partitions, the kernel additionally skips — without decoding — records
+// missing a predicate attribute.
 func (t *Table) SelectWhere(preds []Pred) ([]Result, QueryReport) {
 	return t.SelectWhereSpanned(preds, t.observer().StartQuery(obs.KindSelectWhere))
 }
@@ -289,51 +289,6 @@ func (t *Table) SelectWhereSpanned(preds []Pred, sp *obs.QuerySpan) ([]Result, Q
 	if sp.WantDetail() {
 		sp.SetQuery(t.describeWhere(preds))
 	}
-	if t.lockedReads.Load() {
-		return t.selectWhereLocked(preds, sp)
-	}
-	return t.selectWhereSnap(preds, sp)
-}
-
-func (t *Table) selectWhereLocked(preds []Pred, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start := t.obsStart()
-	need := predNeed(preds)
-
-	var rep QueryReport
-	pids := t.sortedPIDs()
-	rep.PartitionsTotal = len(pids)
-	survivors := pids[:0]
-	for _, pid := range pids {
-		syn := t.attrSyn[pid]
-		if syn == nil || !synopsis.Subset(need, syn) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneSynopsisMissing)
-			continue
-		}
-		if !t.zonesOverlap(pid, preds) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneZoneMiss)
-			continue
-		}
-		survivors = append(survivors, pid)
-	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return t.scanPartitionWhere(survivors[i], preds)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	return out, rep
-}
-
-func (t *Table) selectWhereSnap(preds []Pred, sp *obs.QuerySpan) ([]Result, QueryReport) {
 	start := t.obsStart()
 	need := predNeed(preds)
 
@@ -369,18 +324,9 @@ func (t *Table) selectWhereSnap(preds []Pred, sp *obs.QuerySpan) ([]Result, Quer
 	rep.PartitionsTouched = len(survivors)
 
 	parts := make([]partScan, len(survivors))
-	useBitmap := t.bitmapScans.Load()
-	var prog storage.BitmapProgram
-	if useBitmap {
-		prog = whereProgram(need)
-	}
+	prog := whereProgram(need)
 	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		if useBitmap {
-			if sc, ok := scanSnapPartWhereBitmap(survivors[i], preds, prog); ok {
-				return sc
-			}
-		}
-		return scanSnapPartWhere(survivors[i], preds, need)
+		return scanPart(survivors[i], prog, preds)
 	})
 	out := mergeScans(parts, &rep)
 
@@ -420,18 +366,6 @@ func entityMatches(e *entity.Entity, preds []Pred) bool {
 		}
 	}
 	return true
-}
-
-func (t *Table) sortedPIDs() []core.PartitionID {
-	pids := make([]core.PartitionID, 0, len(t.segs)+len(t.cold))
-	for pid := range t.segs {
-		pids = append(pids, pid)
-	}
-	for pid := range t.cold {
-		pids = append(pids, pid)
-	}
-	sortPIDs(pids)
-	return pids
 }
 
 func sortPIDs(pids []core.PartitionID) {

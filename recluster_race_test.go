@@ -1,9 +1,12 @@
 package cinderella
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -167,20 +170,25 @@ func TestReclusterConcurrentIntegrity(t *testing.T) {
 	check("reopened table", dt2.Table)
 }
 
-// TestReclusterLockedVsSnapshotEquivalence interleaves recluster ticks
-// with paired locked/snapshot reads: mid-migration, both read paths
-// must return bit-identical results and identical reports.
-func TestReclusterLockedVsSnapshotEquivalence(t *testing.T) {
+// TestReclusterQueryMatchesOracle interleaves recluster ticks with
+// queries checked against a brute-force oracle: mid-migration, every
+// query must return exactly the stored documents carrying the attribute
+// (found by point-reading every id) and a report consistent with the
+// current partitions.
+func TestReclusterQueryMatchesOracle(t *testing.T) {
 	reg := NewObserver()
 	dt, err := OpenFile(filepath.Join(t.TempDir(), "equiv.wal"), Config{PartitionSizeLimit: 16, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dt.Close()
+	var ids []ID
 	for i := 0; i < 256; i++ {
-		if _, err := dt.Insert(raceDoc(i)); err != nil {
+		id, err := dt.Insert(raceDoc(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 
 	m := recluster.New(dt, reg, recluster.Config{
@@ -188,18 +196,41 @@ func TestReclusterLockedVsSnapshotEquivalence(t *testing.T) {
 	})
 	defer m.Close()
 
+	oracle := func(attr string) ([]Record, QueryReport) {
+		var rep QueryReport
+		for _, p := range dt.Partitions() {
+			rep.PartitionsTotal++
+			if !slices.Contains(p.Attributes, attr) {
+				rep.PartitionsPruned++
+				continue
+			}
+			rep.PartitionsTouched++
+			rep.EntitiesScanned += p.Records
+			rep.BytesRead += p.Bytes
+		}
+		var recs []Record
+		for _, id := range ids {
+			doc, ok := dt.Get(id)
+			if _, has := doc[attr]; !ok || !has {
+				continue
+			}
+			recs = append(recs, Record{ID: id, Doc: doc})
+			e, _ := dt.GetEntity(id)
+			rep.BytesRelevant += int64(len(e.Marshal(binary.AppendUvarint(nil, uint64(id)))))
+		}
+		rep.EntitiesReturned = len(recs)
+		return recs, rep
+	}
 	compare := func(attr string) {
 		t.Helper()
-		dt.SetLockedReads(true)
-		lockedRes, lockedRep := dt.QueryWithReport(attr)
-		dt.SetLockedReads(false)
-		snapRes, snapRep := dt.QueryWithReport(attr)
-		if !reflect.DeepEqual(lockedRes, snapRes) {
-			t.Fatalf("query %q: locked and snapshot results differ (%d vs %d records)",
-				attr, len(lockedRes), len(snapRes))
+		wantRes, wantRep := oracle(attr)
+		res, rep := dt.QueryWithReport(attr)
+		sort.Slice(res, func(i, j int) bool { return res[i].ID < res[j].ID })
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Fatalf("query %q: %d records, oracle %d", attr, len(res), len(wantRes))
 		}
-		if lockedRep != snapRep {
-			t.Fatalf("query %q: locked report %+v != snapshot report %+v", attr, lockedRep, snapRep)
+		if rep != wantRep {
+			t.Fatalf("query %q: report %+v, oracle %+v", attr, rep, wantRep)
 		}
 	}
 
@@ -216,6 +247,6 @@ func TestReclusterLockedVsSnapshotEquivalence(t *testing.T) {
 		}
 	}
 	if m.Status().Moved == 0 {
-		t.Fatal("reclusterer never moved an entity; equivalence proved nothing")
+		t.Fatal("reclusterer never moved an entity; the oracle check proved nothing")
 	}
 }

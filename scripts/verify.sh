@@ -57,44 +57,59 @@ go test -race \
 
 # Snapshot-read pass: the mixed read/write contract — continuous writers
 # vs. lock-free ScanAll/Select/SelectWhere readers on Table and Sharded,
-# storage view immutability under mutation, locked-vs-snapshot
-# QueryReport equivalence, and reads served mid-drain — must hold under
-# the race detector.
+# storage view immutability under mutation, snapshot queries equal to a
+# locked decode of every record (results, QueryReport, Stats) through
+# churn, vacuum and freeze/thaw on three seeds, and reads served
+# mid-drain — must hold under the race detector.
 echo "== go test -race snapshot read suite"
 go test -race \
-	-run 'TestSnapshot|TestView|TestSidecar|TestShardedConcurrentWritersScanAll|TestServerReadsServedDuringDrain' \
+	-run 'TestSnapshot|TestView|TestShardedConcurrentWritersScanAll|TestServerReadsServedDuringDrain' \
 	./internal/table ./internal/storage ./internal/shard ./internal/server
 
-# Bitmap scan-kernel pass: the word-parallel kernel's equivalence
-# contract — candidate sets, results, QueryReport counters, and Stats
-# deltas bit-identical to the per-record sidecar path (and the locked
-# full-decode baseline) across both tiers, under concurrent churn, with
-# the captured-view stability and zero-allocation guarantees — must
-# hold under the race detector.
+# Bitmap scan-kernel pass: the kernel's equivalence contract — candidate
+# sets, results, QueryReport counters, and Stats deltas equal to a
+# brute-force decode of every record across both tiers on three seeds,
+# under concurrent churn, vacuum's matrix compaction equal to a rebuild,
+# with the captured-view stability, decoded-image refusal, and
+# zero-allocation guarantees — must hold under the race detector.
 echo "== go test -race bitmap scan suite"
 go test -race -run 'TestBitmap' ./internal/storage ./internal/table
 
-# Scan bench gate: the kernel must beat the per-record sidecar baseline
-# by >= 3x on the selective bucket of the coarse-partitioned arm, with
-# the bitmap-vs-sidecar equivalence sweep green and a fully pruned
+# Scan bench gate: the kernel must beat a full decode of every record in
+# the surviving partitions by >= 26.1x (0.85 of the kernel-vs-locked
+# full-decode ratio measured at 100k entities before the locked read
+# mode was removed) on
+# the selective bucket of the coarse-partitioned arm, with the
+# kernel-vs-full-decode equivalence sweep green and a fully pruned
 # frozen partition charging zero cold bytes (BENCH_scan.json tracks the
 # full-scale run; this re-measures at smoke scale).
 echo "== scan kernel gate"
 SCAN_JSON=$(mktemp)
 go run ./cmd/cinderella-bench -exp scan -entities 20000 -json "$SCAN_JSON"
 grep -q '"within_budget": true' "$SCAN_JSON" \
-	|| { echo "verify: bitmap kernel speedup under 3x"; cat "$SCAN_JSON"; exit 1; }
+	|| { echo "verify: bitmap kernel speedup under the full-decode floor"; cat "$SCAN_JSON"; exit 1; }
 grep -q '"equivalence_ok": true' "$SCAN_JSON" \
-	|| { echo "verify: bitmap and sidecar scans disagree"; cat "$SCAN_JSON"; exit 1; }
+	|| { echo "verify: kernel and full-decode scans disagree"; cat "$SCAN_JSON"; exit 1; }
 grep -q '"prune_zero_cold_ok": true' "$SCAN_JSON" \
 	|| { echo "verify: pruned frozen scan charged cold bytes"; cat "$SCAN_JSON"; exit 1; }
 rm -f "$SCAN_JSON"
 
+# Read bench gate: with 8 ScanAll readers racing 8 writers, writer p99
+# must stay within 2x of the writers-alone p99 — full scans never take
+# the table lock (BENCH_read.json tracks the full-scale run; this
+# re-measures at smoke scale).
+echo "== read path gate"
+READ_JSON=$(mktemp)
+go run ./cmd/cinderella-bench -exp read -entities 20000 -json "$READ_JSON"
+grep -q '"writer_p99_within_budget": true' "$READ_JSON" \
+	|| { echo "verify: writer p99 under full-scan readers exceeds 2x solo"; cat "$READ_JSON"; exit 1; }
+rm -f "$READ_JSON"
+
 # Recluster pass: the background reclusterer's integrity contract — no
 # entity lost or duplicated under concurrent writers/readers (including
-# a full reopen recount), locked-vs-snapshot equivalence mid-migration,
-# shard-stamped progress, heat decay, and the manager unit suite — must
-# hold under the race detector.
+# a full reopen recount), queries equal to a brute-force oracle
+# mid-migration, shard-stamped progress, heat decay, and the manager
+# unit suite — must hold under the race detector.
 echo "== go test -race recluster suite"
 go test -race -run 'TestRecluster|TestHeat|TestVictimSelection|TestGovernorThrottles|TestPauseResume|TestOutcomeSettlement|TestWorkloadBlender|TestDebugReclusterEndpoint' \
 	./internal/recluster ./internal/obs ./internal/shard .

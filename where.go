@@ -22,8 +22,10 @@ func Where(attr, op string, value any) Cond {
 
 // QueryWhere returns all documents satisfying every condition. Partition
 // pruning uses both attribute synopses and per-partition value zone maps,
-// so range probes skip partitions whose values cannot match. Unknown
-// attribute names match nothing.
+// so range probes skip partitions whose values cannot match; inside a
+// surviving partition the bitmap scan kernel decodes only documents
+// carrying every condition's attribute. Unknown attribute names match
+// nothing.
 func (t *Table) QueryWhere(conds ...Cond) ([]Record, QueryReport) {
 	if len(conds) == 0 {
 		panic("cinderella: QueryWhere needs at least one condition")
