@@ -37,8 +37,8 @@
 // -tier-reheat cold block reads within a tick are thawed back; any
 // write reaching a frozen partition thaws it immediately. Live status
 // is served at /debug/tier; with -recluster the reclusterer skips
-// frozen partitions. Freeze/thaw transitions are durable (a manifest
-// and the compressed images live next to the WAL) and survive restart.
+// frozen partitions. Freeze/thaw transitions are durable (a manifest of
+// frozen partition ids lives next to the WAL) and survive restart.
 //
 // -bin-addr additionally serves the length-prefixed binary protocol
 // (package internal/wire) on its own port. Both protocols share one

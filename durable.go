@@ -81,9 +81,8 @@ func OpenFile(path string, cfg Config) (*DurableTable, error) {
 	}
 	d.logged = t.dict.Len()
 
-	// Restore the cold tier: verify every manifest-listed image and
-	// re-freeze the listed partitions from the replayed rows. A corrupt
-	// image refuses the open (see recoverTier).
+	// Restore the cold tier: re-freeze the manifest-listed partitions
+	// from the replayed rows (see recoverTier).
 	if err := d.recoverTier(); err != nil {
 		return nil, err
 	}
@@ -472,33 +471,31 @@ func (d *DurableTable) Checkpoint() error {
 	for _, r := range d.inner.ScanAll() {
 		ops = append(ops, wal.Op{Kind: wal.KindInsert, ID: uint64(r.ID), Data: r.Entity.Marshal(nil)})
 	}
-	if err := d.w.Close(); err != nil {
-		return err
+	err := d.w.Close()
+	if err == nil {
+		err = wal.Rewrite(d.path, ops)
 	}
-	if err := wal.Rewrite(d.path, ops); err != nil {
-		return err
-	}
-	w, err := wal.Create(d.path)
-	if err != nil {
-		return err
+	// Rewritten or not (a failed rewrite leaves the old log untouched),
+	// d.path holds every appended record: reopen it so writes go on.
+	w, werr := wal.Create(d.path)
+	if werr != nil {
+		return errors.Join(err, werr)
 	}
 	if d.obsr != nil {
 		w.SetObserver(d.obsr)
 	}
 	d.w = w
-	d.logged = d.dict.Len()
-	// The rewritten log captured everything ever appended: carry the LSN
+	// Everything appended before the swap was synced above: carry the LSN
 	// clock across the writer swap and mark all of it durable.
 	d.base = d.appendLSN.Load()
 	d.durableLSN.Store(d.base)
-	// Reconcile the tier manifest with the live frozen set (implicit
-	// thaws leave it over-reporting until now) and refresh the images.
-	frozen := d.inner.FrozenPartitions()
-	pids := make([]uint64, len(frozen))
-	for i, p := range frozen {
-		pids[i] = uint64(p)
+	if err != nil {
+		return err
 	}
-	return d.persistTier(pids...)
+	d.logged = d.dict.Len()
+	// Reconcile the tier manifest with the live frozen set (implicit
+	// thaws leave it over-reporting until now).
+	return d.persistTier()
 }
 
 // Close syncs and closes the log. The table remains readable in memory.

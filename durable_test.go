@@ -171,6 +171,47 @@ func TestDurableCheckpoint(t *testing.T) {
 	}
 }
 
+// TestDurableCheckpointFailureKeepsWriter: a Checkpoint whose log
+// rewrite fails (here a directory squats on the temp path) returns the
+// error but leaves a working writer on the untouched log, so later
+// writes still sync and a reopen recounts every row.
+func TestDurableCheckpointFailureKeepsWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	cfg := Config{Weight: 0.3, PartitionSizeLimit: 100}
+	d := openDurable(t, path, cfg)
+	for i := 0; i < 50; i++ {
+		if _, err := d.Insert(Doc{"attr": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err == nil {
+		t.Fatal("checkpoint over a blocked temp path succeeded")
+	}
+	if _, err := d.Insert(Doc{"post": "failed-checkpoint"}); err != nil {
+		t.Fatalf("insert after failed checkpoint: %v", err)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatalf("sync after failed checkpoint: %v", err)
+	}
+	if lsn := d.LastLSN(); d.DurableLSN() != lsn {
+		t.Fatalf("durable LSN %d behind append LSN %d after sync", d.DurableLSN(), lsn)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, path, cfg)
+	defer d2.Close()
+	if got := d2.Len(); got != 51 {
+		t.Fatalf("recovered Len = %d, want 51", got)
+	}
+	if got := d2.Query("post"); len(got) != 1 {
+		t.Fatalf("post-failure insert recovered %d times, want 1", len(got))
+	}
+}
+
 func TestDurableSyncAndMiss(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	d := openDurable(t, path, Config{})

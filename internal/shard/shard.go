@@ -35,6 +35,7 @@ import (
 	"cinderella"
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
+	"cinderella/internal/fsutil"
 	"cinderella/internal/obs"
 	"cinderella/internal/table"
 )
@@ -258,9 +259,9 @@ func staleShardDirs(dir string) ([]string, error) {
 	return out, nil
 }
 
-// initLayout creates the shard directories first and commits the topology
-// by atomically renaming the manifest into place last — the manifest is
-// the commit point, so a crash mid-initialization leaves either nothing
+// initLayout creates the shard directories first and commits the
+// topology by durably replacing the manifest last — the manifest is the
+// commit point, so a crash mid-initialization leaves either nothing
 // usable (no manifest) or a fully formed layout.
 func initLayout(dir string, n int) error {
 	for i := 0; i < n; i++ {
@@ -272,11 +273,7 @@ func initLayout(dir string, n int) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	return fsutil.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'))
 }
 
 // Shards returns the shard count.

@@ -8,7 +8,7 @@ import (
 )
 
 // Tiered storage across shards. Each shard's durable table owns its own
-// cold tier (images and manifest live under the shard's WAL path), so
+// cold tier (its manifest lives next to the shard's WAL), so
 // the fan-out here is pure routing: tier states concatenate in shard
 // order and freeze/thaw address one (shard, partition) pair, exactly
 // like ReclusterPartition. Sharded satisfies tier.Store directly.

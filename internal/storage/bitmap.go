@@ -23,7 +23,7 @@ import (
 //
 // Maintenance:
 //
-//   - InsertTagged sets the live bit and one bit per attribute at the
+//   - Insert sets the live bit and one bit per attribute at the
 //     record's fresh position.
 //   - Delete copies the live bitset, clears the bit, and swaps the copy
 //     in; the attribute bits go stale but are masked by live at

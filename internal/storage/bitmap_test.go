@@ -84,7 +84,7 @@ func bitmapSeg(t *testing.T, n int) *Segment {
 		} else {
 			b, syn = taggedRec(i, i%7, 7+i%5, 12+i%3)
 		}
-		if _, err := seg.InsertTagged(b, syn); err != nil {
+		if _, err := seg.Insert(b, syn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestBitmapVacuumMatchesRebuild(t *testing.T) {
 
 	rebuilt := NewSegment(nil)
 	seg.Scan(func(_ RecordID, rec []byte) bool {
-		if _, err := rebuilt.InsertTagged(rec, recAttrs(rec)); err != nil {
+		if _, err := rebuilt.Insert(rec, recAttrs(rec)); err != nil {
 			t.Fatal(err)
 		}
 		return true
@@ -211,7 +211,7 @@ func TestBitmapChargesMatchScan(t *testing.T) {
 	seg := NewSegment(stats)
 	for i := 0; i < 400; i++ {
 		syn := synopsis.Of(i % 5)
-		if _, err := seg.InsertTagged([]byte(fmt.Sprintf("rec-%04d-%s", i, "pad-pad-pad")), syn); err != nil {
+		if _, err := seg.Insert([]byte(fmt.Sprintf("rec-%04d-%s", i, "pad-pad-pad")), syn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestBitmapViewStableUnderMutation(t *testing.T) {
 		_ = seg.Delete(RecordID{Page: pi, Slot: slot})
 	}
 	for i := 0; i < 3000; i++ {
-		if _, err := seg.InsertTagged([]byte(fmt.Sprintf("late-%05d-%s", i, "padding")), synopsis.Of(500+i%9)); err != nil {
+		if _, err := seg.Insert([]byte(fmt.Sprintf("late-%05d-%s", i, "padding")), synopsis.Of(500+i%9)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,51 +267,6 @@ func TestBitmapViewStableUnderMutation(t *testing.T) {
 	}
 }
 
-// TestBitmapDecodedColdImageUnscannable pins the decoded-image contract:
-// a cold segment rebuilt from its file image has neither the matrix nor
-// the length table, so View and Thaw refuse it (a kernel scan would
-// silently find nothing), while point reads of its pages still work and
-// the refusal charges nothing.
-func TestBitmapDecodedColdImageUnscannable(t *testing.T) {
-	seg := bitmapSeg(t, 300)
-	var first RecordID
-	var firstRec []byte
-	seg.Scan(func(id RecordID, rec []byte) bool {
-		first, firstRec = id, append([]byte(nil), rec...)
-		return false
-	})
-	cold := FreezeSegment(seg)
-	stats := &Stats{}
-	dec, err := DecodeColdSegment(cold.Encode(), stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, op := range map[string]func(){
-		"View": func() { dec.View() },
-		"Thaw": func() { dec.Thaw() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s on a decoded cold image did not refuse", name)
-				}
-			}()
-			op()
-		}()
-	}
-	if p, b, r := statsTriple(stats); p != 0 || b != 0 || r != 0 {
-		t.Fatalf("refused scan charged (pages=%d bytes=%d recs=%d); want nothing", p, b, r)
-	}
-	if rec, err := dec.Read(first); err != nil || string(rec) != string(firstRec) {
-		t.Fatalf("point read of decoded image = %q, %v; want %q", rec, err, firstRec)
-	}
-}
-
-func statsTriple(s *Stats) (int64, int64, int64) {
-	p, _, b, _, r := s.Snapshot()
-	return p, b, r
-}
-
 // TestBitmapColdPruneReadsNoColdBytes is the cold-tier payoff: a frozen
 // partition scanned with a program matching nothing inflates no blocks
 // — the hot matrix and length table answer the scan with zero cold
@@ -320,7 +275,7 @@ func TestBitmapColdPruneReadsNoColdBytes(t *testing.T) {
 	stats := &Stats{}
 	seg := NewSegment(stats)
 	for i := 0; i < 400; i++ {
-		if _, err := seg.InsertTagged([]byte(fmt.Sprintf("rec-%04d-%s", i, "pad-pad-pad")), synopsis.Of(i%5)); err != nil {
+		if _, err := seg.Insert([]byte(fmt.Sprintf("rec-%04d-%s", i, "pad-pad-pad")), synopsis.Of(i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,12 +3,7 @@ package storage
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -17,8 +12,8 @@ import (
 //
 // A ColdSegment is the read-only replica of a vacuumed Segment. The 8 KiB
 // page images are concatenated into fixed-size runs ("blocks"), each run
-// deflate-compressed and checksummed independently, so a point read or a
-// scan decompresses only the blocks it touches. The presence matrix,
+// deflate-compressed independently, so a point read or a scan
+// decompresses only the blocks it touches. The presence matrix,
 // the per-slot length table, and the live counters stay hot
 // (uncompressed, in memory): partition pruning and the kernel's decode
 // skip keep working without touching a single cold byte.
@@ -31,29 +26,14 @@ import (
 // Definition-1 EFFICIENCY stays measurable across tiers, and the
 // decompression count is the tiering manager's reheat signal.
 //
-// Durability: Encode serializes the cold segment to a checksummed file
-// image (written by the durable layer via tmp+rename, the shard-manifest
-// commit discipline). DecodeColdSegment refuses torn, truncated, or
-// bit-flipped images with ErrColdCorrupt — the write-ahead log remains
-// the row source of truth, so a verified-but-stale file is simply
-// rebuilt from the replayed rows, while a corrupt file is surfaced to
-// the operator instead of being papered over.
-
-// ErrColdCorrupt is returned when a cold segment file fails its
-// structural or checksum verification. It is the cold tier's analogue of
-// the shard manifest's torn-file refusal.
-var ErrColdCorrupt = errors.New("storage: cold segment file is torn or corrupt")
-
-// coldMagic guards the file format; the trailing byte is the version.
-var coldMagic = [8]byte{'C', 'I', 'N', 'D', 'C', 'O', 'L', '1'}
+// Durability: a cold segment lives only in memory. The write-ahead log
+// is the row source of truth and placement is a deterministic function
+// of it, so the durable layer persists just the list of frozen
+// partition ids and re-freezes them from the replayed rows on reopen.
 
 // coldBlockPages is the number of page images per compression block
 // (128 KiB raw per block).
 const coldBlockPages = 16
-
-// coldHeaderSize is magic(8) + numPages(4) + pagesPerBlock(4) +
-// numBlocks(4) + live(4) + liveBytes(8) + headerCRC(4).
-const coldHeaderSize = 36
 
 // coldResidentBlocks bounds the per-segment decompressed-block cache: a
 // scan in flight keeps its current block (and Record lookups into it)
@@ -64,7 +44,6 @@ const coldResidentBlocks = 2
 // coldBlock is one compressed run of page images.
 type coldBlock struct {
 	data      []byte // deflate-compressed concatenation of raw pages
-	crc       uint32 // crc32 (IEEE) of data
 	firstPage int
 	numPages  int
 }
@@ -77,8 +56,7 @@ type ColdSegment struct {
 	// bm is the attribute-presence bitmap matrix carried over from the
 	// frozen segment, and lens the per-slot stored lengths — both hot,
 	// so the kernel can skip frozen records without inflating a single
-	// cold block. Zero/nil after Decode: a decoded image is verified but
-	// never scanned (the reopen path re-freezes from replayed rows).
+	// cold block.
 	bm        bitmat
 	lens      [][]uint16
 	numPages  int
@@ -142,7 +120,6 @@ func FreezeSegment(s *Segment) *ColdSegment {
 		data := append([]byte(nil), buf.Bytes()...)
 		c.blocks = append(c.blocks, coldBlock{
 			data:      data,
-			crc:       crc32.ChecksumIEEE(data),
 			firstPage: first,
 			numPages:  n,
 		})
@@ -199,9 +176,9 @@ func (c *ColdSegment) page(pi int) *Page {
 	return pages[pi-b.firstPage]
 }
 
-// inflate decompresses one block into fresh pages. The block's checksum
-// was verified at construction, so a decompression failure here is a
-// program bug, not an I/O condition.
+// inflate decompresses one block into fresh pages. Blocks never leave
+// memory, so a decompression failure here is a program bug, not an I/O
+// condition.
 func (c *ColdSegment) inflate(b *coldBlock) []*Page {
 	r := flate.NewReader(bytes.NewReader(b.data))
 	pages := make([]*Page, b.numPages)
@@ -242,7 +219,6 @@ func (c *ColdSegment) Read(id RecordID) ([]byte, error) {
 // tier. Pages are cloned so still-published cold views never alias a
 // mutable page.
 func (c *ColdSegment) Thaw() *Segment {
-	c.mustHaveHotMetadata()
 	s := &Segment{
 		pages: make([]*Page, c.numPages),
 		bm:    c.bm,
@@ -274,18 +250,7 @@ type ColdView struct {
 
 // View returns the cold segment's read view.
 func (c *ColdSegment) View() ColdView {
-	c.mustHaveHotMetadata()
 	return ColdView{c: c}
-}
-
-// mustHaveHotMetadata refuses to scan or thaw a decoded file image: it
-// carries only the compressed pages, not the presence matrix and length
-// table a frozen segment keeps hot, so a kernel scan over it would
-// silently find nothing.
-func (c *ColdSegment) mustHaveHotMetadata() {
-	if c.lens == nil && c.numPages > 0 {
-		panic("storage: a decoded cold image has no hot metadata and cannot be scanned or thawed")
-	}
 }
 
 // Cold reports whether the view is backed by a cold segment (a zero
@@ -306,120 +271,4 @@ func (v ColdView) Record(id RecordID) []byte {
 	p := v.c.page(id.Page)
 	off, n := p.slot(id.Slot)
 	return p.buf[off : off+n]
-}
-
-// Encode serializes the cold segment to its checksummed file image:
-//
-//	magic+version(8) numPages(4) pagesPerBlock(4) numBlocks(4)
-//	live(4) liveBytes(8) headerCRC(4)
-//	then per block: compLen(4) blockCRC(4) compressed bytes
-//
-// The hot metadata is not serialized: the WAL is the row source of
-// truth and reopen re-derives all hot metadata from the replayed rows;
-// the file exists so recovery can verify the cold tier's integrity and
-// so the compressed bytes survive independently of the log.
-func (c *ColdSegment) Encode() []byte {
-	out := make([]byte, coldHeaderSize, coldHeaderSize+int(c.compBytes)+8*len(c.blocks))
-	copy(out[0:8], coldMagic[:])
-	binary.LittleEndian.PutUint32(out[8:12], uint32(c.numPages))
-	binary.LittleEndian.PutUint32(out[12:16], coldBlockPages)
-	binary.LittleEndian.PutUint32(out[16:20], uint32(len(c.blocks)))
-	binary.LittleEndian.PutUint32(out[20:24], uint32(c.live))
-	binary.LittleEndian.PutUint64(out[24:32], uint64(c.bytes))
-	binary.LittleEndian.PutUint32(out[32:36], crc32.ChecksumIEEE(out[0:32]))
-	var hdr [8]byte
-	for _, b := range c.blocks {
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(b.data)))
-		binary.LittleEndian.PutUint32(hdr[4:8], b.crc)
-		out = append(out, hdr[:]...)
-		out = append(out, b.data...)
-	}
-	return out
-}
-
-// DecodeColdSegment parses and verifies a cold segment file image.
-// Every structural inconsistency — short header, bad magic, checksum
-// mismatch, truncated or oversized payload — returns an error wrapping
-// ErrColdCorrupt. The decoded segment has no hot metadata (reopen
-// re-freezes from the replayed rows): it supports point reads of the
-// frozen page images but refuses View and Thaw; it exists to verify
-// integrity.
-func DecodeColdSegment(data []byte, stats *Stats) (*ColdSegment, error) {
-	if stats == nil {
-		stats = &Stats{}
-	}
-	if len(data) < coldHeaderSize {
-		return nil, fmt.Errorf("%w: %d-byte file is shorter than the header", ErrColdCorrupt, len(data))
-	}
-	if !bytes.Equal(data[0:8], coldMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrColdCorrupt, data[0:8])
-	}
-	if got, want := crc32.ChecksumIEEE(data[0:32]), binary.LittleEndian.Uint32(data[32:36]); got != want {
-		return nil, fmt.Errorf("%w: header checksum mismatch", ErrColdCorrupt)
-	}
-	numPages := int(binary.LittleEndian.Uint32(data[8:12]))
-	perBlock := int(binary.LittleEndian.Uint32(data[12:16]))
-	numBlocks := int(binary.LittleEndian.Uint32(data[16:20]))
-	if perBlock != coldBlockPages {
-		return nil, fmt.Errorf("%w: block size %d, this binary uses %d", ErrColdCorrupt, perBlock, coldBlockPages)
-	}
-	if want := (numPages + perBlock - 1) / perBlock; numBlocks != want {
-		return nil, fmt.Errorf("%w: %d blocks for %d pages, want %d", ErrColdCorrupt, numBlocks, numPages, want)
-	}
-	c := &ColdSegment{
-		numPages: numPages,
-		live:     int(binary.LittleEndian.Uint32(data[20:24])),
-		bytes:    int64(binary.LittleEndian.Uint64(data[24:32])),
-		stats:    stats,
-		cacheID:  segmentIDs.Add(1),
-		resident: make(map[int][]*Page),
-	}
-	off := coldHeaderSize
-	for bi := 0; bi < numBlocks; bi++ {
-		if len(data)-off < 8 {
-			return nil, fmt.Errorf("%w: truncated at block %d header", ErrColdCorrupt, bi)
-		}
-		compLen := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		off += 8
-		if len(data)-off < compLen {
-			return nil, fmt.Errorf("%w: truncated in block %d payload", ErrColdCorrupt, bi)
-		}
-		blockData := data[off : off+compLen]
-		off += compLen
-		if crc32.ChecksumIEEE(blockData) != crc {
-			return nil, fmt.Errorf("%w: block %d checksum mismatch", ErrColdCorrupt, bi)
-		}
-		first := bi * perBlock
-		n := numPages - first
-		if n > perBlock {
-			n = perBlock
-		}
-		c.blocks = append(c.blocks, coldBlock{
-			data:      append([]byte(nil), blockData...),
-			crc:       crc,
-			firstPage: first,
-			numPages:  n,
-		})
-		c.compBytes += int64(compLen)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrColdCorrupt, len(data)-off)
-	}
-	return c, nil
-}
-
-// OpenColdSegmentFile reads and verifies a cold segment file. Checksum
-// and structural failures wrap ErrColdCorrupt; a missing file returns
-// the underlying fs error.
-func OpenColdSegmentFile(path string, stats *Stats) (*ColdSegment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	c, err := DecodeColdSegment(data, stats)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return c, nil
 }

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cinderella/internal/synopsis"
@@ -20,7 +17,7 @@ func buildSegment(t *testing.T, stats *Stats, n int, seed int64) (*Segment, map[
 	want := make(map[RecordID]string, n)
 	for i := 0; i < n; i++ {
 		rec := fmt.Sprintf("record-%d-%d-%s", seed, i, string(make([]byte, rng.Intn(200))))
-		id, err := seg.InsertTagged([]byte(rec), synopsis.Of(i%7))
+		id, err := seg.Insert([]byte(rec), synopsis.Of(i%7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +102,7 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 
 	// The thawed segment is mutable and must not corrupt still-live
 	// cold views: append and delete, then verify the cold view again.
-	if _, err := thawed.InsertTagged([]byte("appended-after-thaw"), synopsis.Of(1)); err != nil {
+	if _, err := thawed.Insert([]byte("appended-after-thaw"), synopsis.Of(1)); err != nil {
 		t.Fatal(err)
 	}
 	var anyID RecordID
@@ -125,86 +122,6 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 	}
 	if n := len(cands); n != len(want) {
 		t.Fatalf("cold view sees %d records after mutations, want %d", n, len(want))
-	}
-}
-
-func TestColdEncodeDecodeRoundTrip(t *testing.T) {
-	seg, _ := buildSegment(t, nil, 400, 3)
-	cold := FreezeSegment(seg)
-	img := cold.Encode()
-
-	dec, err := DecodeColdSegment(img, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.NumPages() != cold.NumPages() || dec.NumRecords() != cold.NumRecords() ||
-		dec.LiveBytes() != cold.LiveBytes() || dec.CompressedBytes() != cold.CompressedBytes() {
-		t.Fatalf("decoded counters differ: %+v", dec)
-	}
-	// Page images must round-trip exactly.
-	for pi := 0; pi < cold.NumPages(); pi++ {
-		if dec.page(pi).buf != cold.page(pi).buf {
-			t.Fatalf("page %d differs after encode/decode", pi)
-		}
-	}
-}
-
-// TestColdCorruptionRefused flips, truncates, and extends the encoded
-// image and requires every damaged variant to be refused with
-// ErrColdCorrupt — the same torn-file contract as the shard manifest.
-func TestColdCorruptionRefused(t *testing.T) {
-	seg, _ := buildSegment(t, nil, 400, 4)
-	img := FreezeSegment(seg).Encode()
-
-	damage := map[string][]byte{
-		"short-header":    img[:coldHeaderSize-10],
-		"truncated-block": img[:len(img)-100],
-		"trailing-bytes":  append(append([]byte(nil), img...), 0xAA),
-		"empty":           {},
-	}
-	flip := func(at int) []byte {
-		d := append([]byte(nil), img...)
-		d[at] ^= 0xFF
-		return d
-	}
-	damage["bad-magic"] = flip(0)
-	damage["bad-header-field"] = flip(9)
-	damage["bad-block-byte"] = flip(coldHeaderSize + 20)
-	damage["bad-last-byte"] = flip(len(img) - 1)
-
-	for name, d := range damage {
-		if _, err := DecodeColdSegment(d, nil); !errors.Is(err, ErrColdCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrColdCorrupt", name, err)
-		}
-	}
-
-	// The intact image still opens (the damage helpers copied).
-	if _, err := DecodeColdSegment(img, nil); err != nil {
-		t.Fatalf("intact image refused: %v", err)
-	}
-}
-
-func TestColdOpenFile(t *testing.T) {
-	dir := t.TempDir()
-	seg, _ := buildSegment(t, nil, 200, 5)
-	img := FreezeSegment(seg).Encode()
-	path := filepath.Join(dir, "cold-1.seg")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenColdSegmentFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Torn on disk: truncate in place.
-	if err := os.Truncate(path, int64(len(img)-37)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenColdSegmentFile(path, nil); !errors.Is(err, ErrColdCorrupt) {
-		t.Fatalf("torn file err = %v, want ErrColdCorrupt", err)
-	}
-	// Missing file: the fs error, not a corruption verdict.
-	if _, err := OpenColdSegmentFile(filepath.Join(dir, "absent.seg"), nil); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file err = %v, want ErrNotExist", err)
 	}
 }
 

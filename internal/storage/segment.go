@@ -85,7 +85,7 @@ func (s *Stats) addWrite(pages, bytes int64) {
 // it cannot rule out. Tombstones are detected from the slot directory
 // (stored length 0) and folded into the matrix's live bitset.
 //
-// Concurrency: mutations (InsertTagged, Delete, Vacuum) require
+// Concurrency: mutations (Insert, Delete, Vacuum) require
 // exclusive access. Lock-free readers never touch a Segment directly —
 // they scan a SegView published by View() (see view.go), which stays
 // valid under concurrent mutation because mutations follow two rules:
@@ -124,13 +124,13 @@ func NewSegment(stats *Stats) *Segment {
 // noAttrs is the empty attribute set.
 var noAttrs = synopsis.New(0)
 
-// InsertTagged appends a record together with its attribute synopsis —
+// Insert appends a record together with its attribute synopsis —
 // the record's exact attribute set (non-nil), which the presence matrix
 // records so scans can skip decoding records irrelevant to a query.
 // The synopsis is read, not retained. Insertion tries the last page
 // first and allocates a new page when it does not fit, matching heap
 // file append behaviour.
-func (s *Segment) InsertTagged(rec []byte, syn *synopsis.Set) (RecordID, error) {
+func (s *Segment) Insert(rec []byte, syn *synopsis.Set) (RecordID, error) {
 	id, err := s.appendRecord(rec)
 	if err != nil {
 		return RecordID{}, err

@@ -419,5 +419,5 @@ func TestSegmentVacuumEmpty(t *testing.T) {
 // insertRec appends rec with an empty attribute set, for tests that
 // exercise page and segment mechanics rather than the presence matrix.
 func insertRec(s *Segment, rec []byte) (RecordID, error) {
-	return s.InsertTagged(rec, noAttrs)
+	return s.Insert(rec, noAttrs)
 }

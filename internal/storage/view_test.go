@@ -21,7 +21,7 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		b := fmt.Sprintf("record-%04d-%s", i, "padding-padding-padding-padding")
 		syn := synopsis.Of(i % 7)
-		id, err := seg.InsertTagged([]byte(b), syn)
+		id, err := seg.Insert([]byte(b), syn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if _, err := seg.InsertTagged([]byte(fmt.Sprintf("late-%05d-%s", i, "padding-padding")), synopsis.Of(i%7)); err != nil {
+		if _, err := seg.Insert([]byte(fmt.Sprintf("late-%05d-%s", i, "padding-padding")), synopsis.Of(i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestViewChargesLikeLockedScan(t *testing.T) {
 		var ids []RecordID
 		for i := 0; i < 500; i++ {
 			b := fmt.Sprintf("record-%04d-%s", i, "padding-padding-padding")
-			id, err := seg.InsertTagged([]byte(b), synopsis.Of(i%5))
+			id, err := seg.Insert([]byte(b), synopsis.Of(i%5))
 			if err != nil {
 				t.Fatal(err)
 			}

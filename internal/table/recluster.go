@@ -87,7 +87,7 @@ func (t *Table) ReclusterEntity(id core.EntityID, expect core.PartitionID, blend
 	pid := t.assigner.Update(core.Entity{ID: id, Syn: t.synizer.Synopsis(e), Size: e.Size()})
 	c.SetRatingBlender(nil)
 	if !t.pendingDone {
-		rid, err := t.seg(pid).InsertTagged(t.pending, t.pendingAttrs)
+		rid, err := t.seg(pid).Insert(t.pending, t.pendingAttrs)
 		if err != nil {
 			panic(fmt.Sprintf("table: rewriting entity %d: %v", id, err))
 		}

@@ -386,7 +386,7 @@ func (t *Table) onPlacement(pl core.Placement) {
 		t.markDirty(loc.pid)
 	}
 
-	rid, err := t.seg(pl.To).InsertTagged(rec, attrs)
+	rid, err := t.seg(pl.To).Insert(rec, attrs)
 	if err != nil {
 		panic(fmt.Sprintf("table: inserting entity %d into partition %d: %v", pl.Entity, pl.To, err))
 	}
@@ -633,7 +633,7 @@ func (t *Table) Update(id core.EntityID, e *entity.Entity) bool {
 	if !t.pendingDone {
 		// In-place update: the partitioner kept the entity, no placement
 		// event fired; write the new bytes into the same partition.
-		rid, err := t.seg(pid).InsertTagged(t.pending, t.pendingAttrs)
+		rid, err := t.seg(pid).Insert(t.pending, t.pendingAttrs)
 		if err != nil {
 			panic(fmt.Sprintf("table: rewriting entity %d: %v", id, err))
 		}

@@ -96,19 +96,6 @@ func (t *Table) FrozenPartitions() []core.PartitionID {
 	return pids
 }
 
-// FrozenImage serializes pid's cold segment to its checksummed file
-// image (see storage.ColdSegment.Encode); the durable layer writes it
-// under the tier manifest. Nil when pid is not frozen.
-func (t *Table) FrozenImage(pid core.PartitionID) []byte {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cs, ok := t.cold[pid]
-	if !ok {
-		return nil
-	}
-	return cs.Encode()
-}
-
 // FreezePartition compacts pid's segment and freezes it into the cold
 // tier: the vacuumed page chain is deflate-compressed block by block
 // and the hot segment is dropped (its buffer-cache pages with it),

@@ -23,6 +23,7 @@ import (
 	"os"
 	"time"
 
+	"cinderella/internal/fsutil"
 	"cinderella/internal/obs"
 )
 
@@ -272,25 +273,17 @@ func (r *Reader) Close() error {
 	return nil
 }
 
-// Rewrite atomically replaces the log at path with exactly ops (used by
-// checkpointing: the live data set re-expressed as inserts). It writes
-// to a temp file, syncs, and renames over the original.
+// Rewrite atomically and durably replaces the log at path with exactly
+// ops (used by checkpointing: the live data set re-expressed as
+// inserts). See fsutil.ReplaceFile for the tmp+fsync+rename protocol.
 func Rewrite(path string, ops []Op) error {
-	tmp := path + ".tmp"
-	w, err := Create(tmp)
-	if err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := w.Append(op); err != nil {
-			w.Close()
-			os.Remove(tmp)
-			return err
+	return fsutil.ReplaceFile(path, func(out io.Writer) error {
+		w := &Writer{buf: bufio.NewWriter(out)}
+		for _, op := range ops {
+			if err := w.Append(op); err != nil {
+				return err
+			}
 		}
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+		return w.buf.Flush()
+	})
 }

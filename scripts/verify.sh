@@ -1,10 +1,15 @@
 #!/usr/bin/env sh
-# Tier-1 verification: build, vet, and the full test suite under the race
-# detector. Run from the repo root (make verify does).
+# Tier-1 verification: build, formatting, vet, and the full test suite
+# under the race detector. Run from the repo root (make verify does).
 set -eu
 
 echo "== go build ./..."
 go build ./...
+
+echo "== gofmt -l ."
+UNFORMATTED=$(gofmt -l .)
+[ -z "$UNFORMATTED" ] \
+	|| { echo "verify: files not gofmt-clean:"; echo "$UNFORMATTED"; exit 1; }
 
 echo "== go vet ./..."
 go vet ./...
@@ -70,8 +75,8 @@ go test -race \
 # sets, results, QueryReport counters, and Stats deltas equal to a
 # brute-force decode of every record across both tiers on three seeds,
 # under concurrent churn, vacuum's matrix compaction equal to a rebuild,
-# with the captured-view stability, decoded-image refusal, and
-# zero-allocation guarantees — must hold under the race detector.
+# with the captured-view stability and zero-allocation guarantees —
+# must hold under the race detector.
 echo "== go test -race bitmap scan suite"
 go test -race -run 'TestBitmap' ./internal/storage ./internal/table
 
@@ -117,9 +122,10 @@ go test -race -run 'TestRecluster|TestHeat|TestVictimSelection|TestGovernorThrot
 # Tier pass: the tiered-storage integrity contract — freeze/thaw
 # round trips that preserve record ids, frozen partitions pruned with
 # zero cold bytes, mutations thawing transparently, tier transitions
-# under concurrent lock-free readers, cold-image corruption refusal,
-# and the durable freeze→kill→reopen recovery suite — must hold under
-# the race detector. The manager unit suite rides along.
+# under concurrent lock-free readers, and the durable
+# freeze→kill→reopen recovery suite (manifest-only layout, older
+# layouts' cold images ignored) — must hold under the race detector.
+# The manager unit suite rides along.
 echo "== go test -race tier suite"
 go test -race -run 'TestCold|TestFreeze|TestFrozen|TestMutationsThaw|TestVacuumSkipsFrozen|TestTierTransitions|TestDurableTier|TestIdlePartitions|TestResidentBudget|TestMaxFreezes|TestStatusAggregates|TestSingleAdapter' \
 	./internal/tier ./internal/table ./internal/storage .

@@ -6,55 +6,39 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"cinderella/internal/core"
-	"cinderella/internal/storage"
+	"cinderella/internal/fsutil"
 	"cinderella/internal/table"
 )
 
 // Tiered storage, durable half. The table layer freezes cold partitions
-// into compressed read-only segments (see internal/table and
-// internal/storage); this file makes those transitions survive a crash.
+// into compressed in-memory segments (internal/table, internal/storage);
+// this file makes the frozen set survive a crash. Its only persisted
+// state is <path>.tier/manifest.json, {"version":1,"frozen":[pids]},
+// next to the WAL at <path>. Every freeze, thaw, checkpoint and reopen
+// replaces it durably (fsutil.WriteFile); it goes with its directory
+// when the frozen set empties. Other files there, such as the
+// cold-<pid>.seg images older builds wrote, are ignored until then.
 //
-// Layout: a WAL at <path> gets a sibling directory <path>.tier/ holding
-//
-//	manifest.json   — {"version":1,"frozen":[pids]}; the commit record
-//	cold-<pid>.seg  — one checksummed cold-segment image per frozen pid
-//
-// The WAL stays the row source of truth: freezing moves no rows and
-// appends no WAL record. The manifest only records *which* partitions
-// were frozen, and the images exist so recovery can verify the cold
-// tier's integrity end to end. On reopen, the WAL is replayed first,
-// every manifest-listed image is checksum-verified (a torn or corrupt
-// image refuses the open with storage.ErrColdCorrupt — never a silent
-// downgrade to hot), and the listed partitions are re-frozen from the
-// replayed rows, rewriting the images.
-//
-// Crash ordering: freeze writes the image before the manifest, thaw
-// rewrites the manifest before deleting the image. Either way a crash
-// between the two steps leaves at worst an orphan image with no
-// manifest entry, which recovery sweeps. A frozen partition can also be
-// thawed *implicitly* (any mutation reaching it thaws it inside the
-// table layer); the manifest then over-reports until the next explicit
-// freeze, thaw, or reopen reconciles it — over-reporting is safe
-// because recovery re-freezes from replayed rows, it never trusts the
-// image for content.
+// The WAL is the row source of truth and placement is a deterministic
+// function of it, so reopen replays the WAL and re-freezes the listed
+// partitions from the replayed rows. An implicit thaw (a mutation
+// reaching a frozen partition) leaves the manifest over-reporting until
+// the next reconcile; that is safe because recovery rebuilds frozen
+// partitions from replayed rows and never reads them from disk.
 
 // tierManifestVersion guards the on-disk tier layout.
 const tierManifestVersion = 1
 
 // tierManifest is the cold tier's commit record.
 type tierManifest struct {
-	Version int      `json:"version"`
-	Frozen  []uint64 `json:"frozen"`
+	Version int                `json:"version"`
+	Frozen  []core.PartitionID `json:"frozen"`
 }
 
 // tierDir returns the cold-tier directory for a WAL at path.
 func tierDir(path string) string { return path + ".tier" }
-
-// coldFileName names the image file for one frozen partition.
-func coldFileName(pid uint64) string { return fmt.Sprintf("cold-%d.seg", pid) }
 
 // TierState re-exports the per-partition tier report row.
 type TierState = table.TierState
@@ -88,10 +72,9 @@ func (t *Table) ThawPartition(pid uint64) bool {
 }
 
 // FreezePartition freezes pid into the cold tier and persists the
-// transition: the compressed image is written under <path>.tier/ first,
-// then the manifest commits it. Returns (false, nil) when pid has no
-// hot rows to freeze. A persistence failure rolls the partition back to
-// the hot tier so memory and disk agree.
+// transition by rewriting the tier manifest. Returns (false, nil) when
+// pid has no hot rows to freeze. A persistence failure rolls the
+// partition back to the hot tier so memory and disk agree.
 func (d *DurableTable) FreezePartition(pid uint64) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -101,7 +84,7 @@ func (d *DurableTable) FreezePartition(pid uint64) (bool, error) {
 	if !d.inner.FreezePartition(core.PartitionID(pid)) {
 		return false, nil
 	}
-	if err := d.persistTier(pid); err != nil {
+	if err := d.persistTier(); err != nil {
 		d.inner.ThawPartition(core.PartitionID(pid))
 		return false, err
 	}
@@ -109,10 +92,10 @@ func (d *DurableTable) FreezePartition(pid uint64) (bool, error) {
 }
 
 // ThawPartition thaws pid back into the hot tier and persists the
-// transition (manifest first, then the image is swept). Returns
-// (false, nil) when pid is not frozen. The thaw itself is never rolled
-// back on a persistence failure: a stale manifest entry only makes
-// recovery re-freeze the partition, it cannot lose rows.
+// transition by rewriting the tier manifest. Returns (false, nil) when
+// pid is not frozen. The thaw itself is never rolled back on a
+// persistence failure: a stale manifest entry only makes recovery
+// re-freeze the partition, it cannot lose rows.
 func (d *DurableTable) ThawPartition(pid uint64) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -122,18 +105,13 @@ func (d *DurableTable) ThawPartition(pid uint64) (bool, error) {
 	if !d.inner.ThawPartition(core.PartitionID(pid)) {
 		return false, nil
 	}
-	if err := d.persistTier(); err != nil {
-		return true, err
-	}
-	return true, nil
+	return true, d.persistTier()
 }
 
-// persistTier reconciles <path>.tier/ with the table's current frozen
-// set: images for the given pids are (re)written tmp+rename, the
-// manifest is rewritten from the live frozen set, and image files for
-// no-longer-frozen partitions are swept. With an empty frozen set the
-// whole directory is removed. Callers hold d.mu.
-func (d *DurableTable) persistTier(write ...uint64) error {
+// persistTier rewrites <path>.tier/manifest.json from the table's
+// current frozen set, or removes the whole directory when that set is
+// empty. Callers hold d.mu.
+func (d *DurableTable) persistTier() error {
 	frozen := d.inner.FrozenPartitions()
 	dir := tierDir(d.path)
 	if len(frozen) == 0 {
@@ -142,64 +120,19 @@ func (d *DurableTable) persistTier(write ...uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, pid := range write {
-		img := d.inner.FrozenImage(core.PartitionID(pid))
-		if img == nil {
-			continue
-		}
-		if err := atomicWrite(filepath.Join(dir, coldFileName(pid)), img); err != nil {
-			return err
-		}
-	}
-	m := tierManifest{Version: tierManifestVersion, Frozen: make([]uint64, len(frozen))}
-	live := make(map[string]bool, len(frozen))
-	for i, pid := range frozen {
-		m.Frozen[i] = uint64(pid)
-		live[coldFileName(uint64(pid))] = true
-	}
-	data, err := json.Marshal(m)
+	data, err := json.Marshal(tierManifest{Version: tierManifestVersion, Frozen: frozen})
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(filepath.Join(dir, "manifest.json"), append(data, '\n')); err != nil {
-		return err
-	}
-	// Sweep images the manifest no longer references (thawed partitions,
-	// leftovers from a crash between image write and manifest commit).
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "cold-") || !strings.HasSuffix(name, ".seg") || live[name] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fsutil.WriteFile(filepath.Join(dir, "manifest.json"), append(data, '\n'))
 }
 
-// atomicWrite writes data to path via tmp+rename so readers (and
-// recovery) never observe a half-written file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// recoverTier restores the cold tier after the WAL replay: every
-// manifest-listed image is checksum-verified (corruption refuses the
-// open — the operator decides, the database never silently drops a
-// tier), then the listed partitions are re-frozen from the replayed
-// rows and the images rewritten. Partitions the replay no longer
-// produces (all rows deleted, or a checkpointed log re-placed them) are
-// dropped from the manifest. A tier directory without a manifest is a
-// crash before the first freeze committed: swept.
+// recoverTier restores the cold tier after the WAL replay: the listed
+// partitions are re-frozen from the replayed rows and the manifest is
+// rewritten, dropping ids the replay no longer produces (all rows
+// deleted, or a checkpointed log re-placed them). A tier directory
+// without a manifest is a crash before the first freeze committed:
+// swept.
 func (d *DurableTable) recoverTier() error {
 	dir := tierDir(d.path)
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -216,17 +149,8 @@ func (d *DurableTable) recoverTier() error {
 	if m.Version != tierManifestVersion {
 		return fmt.Errorf("cinderella: %s has tier version %d, this binary supports %d", dir, m.Version, tierManifestVersion)
 	}
-	var refrozen []uint64
 	for _, pid := range m.Frozen {
-		// Integrity gate: the image must decode and checksum end to end
-		// even though the rows come from the WAL — a torn cold file is
-		// data-loss evidence, not something to paper over.
-		if _, err := storage.OpenColdSegmentFile(filepath.Join(dir, coldFileName(pid)), nil); err != nil {
-			return fmt.Errorf("cinderella: cold tier of %s: %w", d.path, err)
-		}
-		if d.inner.FreezePartition(core.PartitionID(pid)) {
-			refrozen = append(refrozen, pid)
-		}
+		d.inner.FreezePartition(pid)
 	}
-	return d.persistTier(refrozen...)
+	return d.persistTier()
 }

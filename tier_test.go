@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
-	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
 
@@ -89,8 +89,8 @@ func TestDurableTierFreezeKillReopen(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("freeze = %v, %v", ok, err)
 	}
-	if _, err := os.Stat(filepath.Join(tierDir(path), coldFileName(coldPID))); err != nil {
-		t.Fatalf("cold image not on disk: %v", err)
+	if _, err := os.Stat(filepath.Join(tierDir(path), "manifest.json")); err != nil {
+		t.Fatalf("tier manifest not on disk: %v", err)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
@@ -135,33 +135,79 @@ func TestDurableTierFreezeKillReopen(t *testing.T) {
 	}
 }
 
-// TestDurableTierCorruptColdRefuses: a flipped byte anywhere in a cold
-// image makes recovery refuse the open with storage.ErrColdCorrupt —
-// never a silent downgrade of the frozen partition to hot.
-func TestDurableTierCorruptColdRefuses(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.wal")
-	d := openDurable(t, path, tierCfg)
-	coldPID := seedTierTable(t, d, 40)
-	if ok, err := d.FreezePartition(coldPID); err != nil || !ok {
-		t.Fatalf("freeze = %v, %v", ok, err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	img := filepath.Join(tierDir(path), coldFileName(coldPID))
-	data, err := os.ReadFile(img)
+// tierFiles lists the names under path's tier directory.
+func tierFiles(t *testing.T, path string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(tierDir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(img, data, 0o644); err != nil {
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestDurableTierLegacyImagesIgnored: older builds also wrote one
+// checksummed cold-<pid>.seg image per frozen partition and refused to
+// open when one was missing or corrupt. The rows come from the WAL, so
+// those images are now ignored: a layout with one corrupt and one
+// missing image opens with exact rows and the frozen set restored, and
+// the leftovers go with the directory once the frozen set empties.
+func TestDurableTierLegacyImagesIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.wal")
+	d := openDurable(t, path, tierCfg)
+	seedTierTable(t, d, 40)
+	for _, ts := range d.TierStates() {
+		if _, err := d.FreezePartition(uint64(ts.Partition)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen := d.FrozenPartitions()
+	if len(frozen) < 2 {
+		t.Fatalf("frozen set %v, want at least two partitions", frozen)
+	}
+	before := sortedDocs(d.ScanAll())
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The older layout, damaged: the first listed pid's image is corrupt,
+	// the last one's is missing, any between are well-formed-looking.
+	for i, pid := range frozen {
+		img := filepath.Join(tierDir(path), fmt.Sprintf("cold-%d.seg", pid))
+		var err error
+		switch i {
+		case 0:
+			err = os.WriteFile(img, []byte("torn"), 0o644)
+		case len(frozen) - 1:
+			if err = os.Remove(img); errors.Is(err, os.ErrNotExist) {
+				err = nil
+			}
+		default:
+			err = os.WriteFile(img, []byte("CINDCOL1 image"), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	if _, err := OpenFile(path, tierCfg); !errors.Is(err, storage.ErrColdCorrupt) {
-		t.Fatalf("open with corrupt cold image: %v, want ErrColdCorrupt", err)
+	d2 := openDurable(t, path, tierCfg)
+	defer d2.Close()
+	after := sortedDocs(d2.ScanAll())
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("recovered %d rows differ from the %d written", len(after), len(before))
+	}
+	if got := d2.FrozenPartitions(); !reflect.DeepEqual(got, frozen) {
+		t.Fatalf("recovered frozen set %v, want %v", got, frozen)
+	}
+	for _, pid := range frozen {
+		if _, err := d2.ThawPartition(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(tierDir(path)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("legacy images survive the last thaw: %v", err)
 	}
 }
 
@@ -231,35 +277,59 @@ func TestDurableTierImplicitThawRecovers(t *testing.T) {
 	}
 }
 
-// TestDurableTierOrphanImagesSwept: cold images without a manifest are
-// a crash before the first freeze committed — recovery sweeps them and
-// opens clean.
+// TestDurableTierOrphanImagesSwept: leftovers without a manifest — a
+// stray manifest.json.tmp from a crash mid-replace, or a cold image an
+// older build wrote — are a crash before the first freeze committed:
+// recovery sweeps them and opens clean. Next to a committed manifest a
+// stray manifest.json.tmp is harmless: the open restores the listed
+// frozen set and its manifest rewrite consumes the temp file.
 func TestDurableTierOrphanImagesSwept(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
 	d := openDurable(t, path, tierCfg)
-	seedTierTable(t, d, 10)
+	coldPID := seedTierTable(t, d, 10)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(tierDir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(tierDir(path), coldFileName(7)), []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+	stray := filepath.Join(tierDir(path), "manifest.json.tmp")
+	for name, data := range map[string]string{"manifest.json.tmp": `{"version":1,"fro`, "cold-7.seg": "torn"} {
+		if err := os.WriteFile(filepath.Join(tierDir(path), name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	d2 := openDurable(t, path, tierCfg)
-	defer d2.Close()
 	if got := d2.FrozenPartitions(); len(got) != 0 {
-		t.Fatalf("frozen set %v from orphan images, want empty", got)
+		t.Fatalf("frozen set %v from orphan files, want empty", got)
 	}
 	if _, err := os.Stat(tierDir(path)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphan tier dir not swept: %v", err)
 	}
+
+	if ok, err := d2.FreezePartition(coldPID); err != nil || !ok {
+		t.Fatalf("freeze = %v, %v", ok, err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(stray, []byte(`{"version":1,"frozen":[99`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d3 := openDurable(t, path, tierCfg)
+	defer d3.Close()
+	if got := d3.FrozenPartitions(); len(got) != 1 || got[0] != coldPID {
+		t.Fatalf("frozen set %v next to a stray temp manifest, want [%d]", got, coldPID)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stray temp manifest survives the open: %v", err)
+	}
 }
 
 // TestDurableTierCheckpointKeepsTier: checkpointing rewrites the log
-// and refreshes the tier images; the frozen set survives the reopen.
+// and the tier manifest, which stays the tier's only file on disk; the
+// frozen set survives the reopen.
 func TestDurableTierCheckpointKeepsTier(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
@@ -268,8 +338,14 @@ func TestDurableTierCheckpointKeepsTier(t *testing.T) {
 	if ok, err := d.FreezePartition(coldPID); err != nil || !ok {
 		t.Fatalf("freeze = %v, %v", ok, err)
 	}
+	if got := tierFiles(t, path); len(got) != 1 || got[0] != "manifest.json" {
+		t.Fatalf("tier dir after freeze holds %v, want [manifest.json]", got)
+	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if got := tierFiles(t, path); len(got) != 1 || got[0] != "manifest.json" {
+		t.Fatalf("tier dir after checkpoint holds %v, want [manifest.json]", got)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
