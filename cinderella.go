@@ -83,17 +83,10 @@ type Config struct {
 	// records relevant to the same queries cluster together. Each query
 	// is the attribute set it references.
 	WorkloadQueries [][]string
-	// UseCatalogIndex enables the inverted attribute index for candidate
-	// partition lookup (faster inserts on large catalogs).
-	UseCatalogIndex bool
 	// CachePages, when positive, routes all page accesses through a
 	// simulated LRU buffer cache of that many pages; CacheStats reports
 	// hit ratios. Zero disables the cache.
 	CachePages int
-	// Parallelism bounds the worker pool that scans non-pruned partitions
-	// in Query/QueryWhere. 0 (default) uses GOMAXPROCS; 1 scans serially.
-	// Results and reports are identical either way.
-	Parallelism int
 	// Obs, when non-nil, attaches a telemetry registry: operation and
 	// query counters, latency histograms, the streaming EFFICIENCY
 	// estimator, and the partitioner event trace. See internal/obs. A nil
@@ -129,10 +122,9 @@ func Open(cfg Config) *Table {
 	switch cfg.Strategy {
 	case StrategyCinderella:
 		assigner = core.NewCinderella(core.Config{
-			Weight:          cfg.Weight,
-			MaxSize:         cfg.PartitionSizeLimit,
-			SizeMode:        mode,
-			UseCatalogIndex: cfg.UseCatalogIndex,
+			Weight:   cfg.Weight,
+			MaxSize:  cfg.PartitionSizeLimit,
+			SizeMode: mode,
 		})
 	case StrategyUniversal:
 		assigner = core.NewSingle(mode)
@@ -147,7 +139,7 @@ func Open(cfg Config) *Table {
 	}
 
 	dict := entity.NewDictionary()
-	tcfg := table.Config{Partitioner: assigner, Dict: dict, Parallelism: cfg.Parallelism, Obs: cfg.Obs}
+	tcfg := table.Config{Partitioner: assigner, Dict: dict, Obs: cfg.Obs}
 	var cache *storage.BufferCache
 	if cfg.CachePages > 0 {
 		cache = storage.NewBufferCache(cfg.CachePages)

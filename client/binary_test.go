@@ -13,6 +13,7 @@ import (
 
 	"cinderella"
 	"cinderella/internal/entity"
+	"cinderella/internal/server"
 	"cinderella/internal/wire"
 )
 
@@ -333,7 +334,8 @@ func startWireServer(t *testing.T) (string, *wire.Server, *cinderella.DurableTab
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.New(d, nil, wire.Config{})
+	com := server.NewCommitter(d, 0, 0, nil)
+	srv := wire.New(d, com, wire.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -343,6 +345,7 @@ func startWireServer(t *testing.T) (string, *wire.Server, *cinderella.DurableTab
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
+		com.Stop()
 		d.Close()
 	})
 	return ln.Addr().String(), srv, d

@@ -10,6 +10,7 @@ import (
 
 	"cinderella"
 	"cinderella/internal/obs"
+	"cinderella/internal/server"
 	"cinderella/internal/wire"
 )
 
@@ -23,7 +24,8 @@ func startInstrumentedWireServer(t *testing.T) (string, *obs.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.New(d, nil, wire.Config{Obs: reg})
+	com := server.NewCommitter(d, 0, 0, nil)
+	srv := wire.New(d, com, wire.Config{Obs: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +35,7 @@ func startInstrumentedWireServer(t *testing.T) (string, *obs.Registry) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
+		com.Stop()
 		d.Close()
 	})
 	return ln.Addr().String(), reg

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"cinderella/internal/core"
 	"cinderella/internal/obs"
 	"cinderella/internal/synopsis"
 	"cinderella/internal/table"
@@ -34,13 +33,13 @@ type HotpathResult struct {
 	RatingSpeedup       float64 `json:"rating_speedup"`
 
 	// Insert path: mean ns per Insert into a fresh table (full placement
-	// incl. splits), catalog scan vs. inverted catalog index.
-	InsertScanNsPerOp  float64 `json:"insert_scan_ns_per_op"`
-	InsertIndexNsPerOp float64 `json:"insert_catalog_index_ns_per_op"`
-	Partitions         int     `json:"partitions"`
+	// incl. splits, rating every partition in the catalog).
+	InsertScanNsPerOp float64 `json:"insert_scan_ns_per_op"`
+	Partitions        int     `json:"partitions"`
 
-	// Query scan: mean ms per representative query, serial vs. pooled
-	// parallel partition scans (identical results by construction).
+	// Query scan: mean ms per representative query, serial (run under
+	// GOMAXPROCS=1) vs. pooled parallel partition scans (identical results
+	// by construction).
 	Queries            int     `json:"queries"`
 	SerialMsPerQuery   float64 `json:"serial_ms_per_query"`
 	ParallelMsPerQuery float64 `json:"parallel_ms_per_query"`
@@ -70,10 +69,6 @@ func Hotpath(o Options) HotpathResult {
 	tblScan, dursScan := loadTable(ds, cind(0.5, 5000), true)
 	res.InsertScanNsPerOp = meanNs(dursScan)
 	res.Partitions = tblScan.NumPartitions()
-	_, dursIdx := loadTable(ds, core.NewCinderella(core.Config{
-		Weight: 0.5, MaxSize: 5000, UseCatalogIndex: true,
-	}), true)
-	res.InsertIndexNsPerOp = meanNs(dursIdx)
 
 	// --- rating kernel ---
 	// Pairs shaped like the insert loop sees them: entity synopsis against
@@ -101,9 +96,10 @@ func Hotpath(o Options) HotpathResult {
 	// --- query scan, serial vs parallel on the same table ---
 	queries := buildWorkload(ds, o)
 	res.Queries = len(queries)
-	tblScan.SetParallelism(1)
+	// The scan pool is GOMAXPROCS wide, so one proc makes every scan inline.
+	prev := runtime.GOMAXPROCS(1)
 	res.SerialMsPerQuery = meanQueryMs(tblScan, queries)
-	tblScan.SetParallelism(0) // GOMAXPROCS workers
+	runtime.GOMAXPROCS(prev)
 	res.ParallelMsPerQuery = meanQueryMs(tblScan, queries)
 	if res.ParallelMsPerQuery > 0 {
 		res.SelectSpeedup = res.SerialMsPerQuery / res.ParallelMsPerQuery
@@ -180,8 +176,7 @@ func (r HotpathResult) Print(w io.Writer) {
 		r.GOMAXPROCS, r.NumCPU, r.Entities, r.Partitions)
 	fprintf(w, "  rating kernel:   fused %.1f ns/op vs four-call %.1f ns/op (%.2fx)\n",
 		r.FusedNsPerRating, r.FourCallNsPerRating, r.RatingSpeedup)
-	fprintf(w, "  insert path:     scan %.0f ns/op, catalog-index %.0f ns/op\n",
-		r.InsertScanNsPerOp, r.InsertIndexNsPerOp)
+	fprintf(w, "  insert path:     scan %.0f ns/op\n", r.InsertScanNsPerOp)
 	fprintf(w, "  query scan:      serial %.3f ms/q vs parallel %.3f ms/q (%.2fx, %d workers, %d queries)\n",
 		r.SerialMsPerQuery, r.ParallelMsPerQuery, r.SelectSpeedup, r.ParallelismWorkers, r.Queries)
 	if r.Obs != nil {

@@ -1,6 +1,6 @@
 // Package fsutil holds the durable file replace behind every on-disk
-// commit point: the WAL checkpoint, the shard manifest and the tier
-// manifest.
+// commit point (the WAL checkpoint, the shard manifest and the tier
+// manifest) and the durable directory create behind the tier directory.
 package fsutil
 
 import (
@@ -34,12 +34,30 @@ func ReplaceFile(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	dir, err := os.Open(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
+}
+
+// MkdirDurable creates directory path if it is missing and then fsyncs
+// its parent, so the new entry survives a power loss. The parent must
+// exist. An existing directory is left alone and costs no fsync.
+func MkdirDurable(path string) error {
+	if err := os.Mkdir(path, 0o755); err != nil {
+		if fi, serr := os.Stat(path); serr == nil && fi.IsDir() {
+			return nil
+		}
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs directory dir, persisting its entries.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	defer dir.Close()
-	return dir.Sync()
+	defer d.Close()
+	return d.Sync()
 }
 
 // WriteFile is ReplaceFile for content already in memory.

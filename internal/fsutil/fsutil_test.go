@@ -71,3 +71,30 @@ func TestReplaceFile(t *testing.T) {
 		t.Fatalf("blocked write changed the file to %q", got)
 	}
 }
+
+// TestMkdirDurable pins the functional contract: a missing directory is
+// created, an existing one is accepted, and a file squatting on the
+// path or a missing parent is an error. The parent-directory fsync is
+// not observable without a fault-injecting filesystem.
+func TestMkdirDurable(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "t.wal.tier")
+	for i := 0; i < 2; i++ {
+		if err := MkdirDurable(dir); err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("call %d: %s is not a directory: %v", i+1, dir, err)
+		}
+	}
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := MkdirDurable(file); err == nil {
+		t.Fatal("MkdirDurable over a regular file succeeded")
+	}
+	if err := MkdirDurable(filepath.Join(root, "no", "dir")); err == nil {
+		t.Fatal("MkdirDurable under a missing parent succeeded")
+	}
+}

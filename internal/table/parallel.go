@@ -1,6 +1,7 @@
 package table
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,10 +21,10 @@ import (
 // counter are identical to a serial scan regardless of scheduling.
 
 // runScans executes scan(i) for every i in [0, n), using up to
-// t.parallelism workers (Config.Parallelism; 1 opts out). scan must write
+// GOMAXPROCS workers; with one worker it scans inline. scan must write
 // only state owned by its index.
-func (t *Table) runScans(n int, scan func(i int)) {
-	workers := int(t.parallelism.Load())
+func runScans(n int, scan func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
@@ -55,8 +56,8 @@ func (t *Table) runScans(n int, scan func(i int)) {
 // additionally stamping each slot's scan wall time when timed (sampled
 // spans record per-partition timing; everyone else skips the clock
 // reads).
-func (t *Table) runTimedScans(parts []partScan, timed bool, scan func(i int) partScan) {
-	t.runScans(len(parts), func(i int) {
+func runTimedScans(parts []partScan, timed bool, scan func(i int) partScan) {
+	runScans(len(parts), func(i int) {
 		if !timed {
 			parts[i] = scan(i)
 			return

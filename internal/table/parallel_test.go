@@ -3,12 +3,14 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
+	"cinderella/internal/obs"
 	"cinderella/internal/synopsis"
 )
 
@@ -30,26 +32,34 @@ func fillTable(tbl *Table, n int, seed int64) {
 	}
 }
 
-func newParTable(parallelism int) *Table {
+func newParTable() *Table {
 	return New(Config{
 		Partitioner: core.NewCinderella(core.Config{Weight: 0.5, MaxSize: 50}),
-		Parallelism: parallelism,
 	})
+}
+
+// withProcs runs f with GOMAXPROCS set to n, which bounds runScans's
+// worker pool; n = 1 makes every scan run inline.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
 }
 
 // TestParallelSelectMatchesSerial: the parallel scan must be
 // indistinguishable from the serial one — same results in the same order
 // and identical QueryReport counters.
 func TestParallelSelectMatchesSerial(t *testing.T) {
-	serial := newParTable(1)
-	parallel := newParTable(8)
+	serial := newParTable()
+	parallel := newParTable()
 	fillTable(serial, 2000, 42)
 	fillTable(parallel, 2000, 42)
 
 	queries := [][]int{{8}, {8, 24, 40}, {0}, {99}, {10, 11, 12, 13}}
 	for qi, attrs := range queries {
-		sres, srep := serial.SelectWithReport(synopsis.Of(attrs...))
-		pres, prep := parallel.SelectWithReport(synopsis.Of(attrs...))
+		var sres, pres []Result
+		var srep, prep QueryReport
+		withProcs(1, func() { sres, srep = serial.SelectWithReport(synopsis.Of(attrs...)) })
+		withProcs(8, func() { pres, prep = parallel.SelectWithReport(synopsis.Of(attrs...)) })
 		if srep != prep {
 			t.Fatalf("query %d: report mismatch: serial %+v, parallel %+v", qi, srep, prep)
 		}
@@ -65,8 +75,10 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 
 	// Same for predicate queries over zone maps.
 	preds := []Pred{{Attr: 1, Op: Lt, Value: entity.Float(250)}}
-	sres, srep := serial.SelectWhere(preds)
-	pres, prep := parallel.SelectWhere(preds)
+	var sres, pres []Result
+	var srep, prep QueryReport
+	withProcs(1, func() { sres, srep = serial.SelectWhere(preds) })
+	withProcs(8, func() { pres, prep = parallel.SelectWhere(preds) })
 	if srep != prep {
 		t.Fatalf("SelectWhere report mismatch: %+v vs %+v", srep, prep)
 	}
@@ -80,7 +92,9 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 	}
 
 	// And full scans.
-	sall, pall := serial.ScanAll(), parallel.ScanAll()
+	var sall, pall []Result
+	withProcs(1, func() { sall = serial.ScanAll() })
+	withProcs(8, func() { pall = parallel.ScanAll() })
 	if len(sall) != len(pall) {
 		t.Fatalf("ScanAll: %d serial, %d parallel", len(sall), len(pall))
 	}
@@ -95,7 +109,7 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 // Select completes while another reader holds the table's read lock,
 // which would deadlock if Select still took the exclusive lock.
 func TestSelectsOverlap(t *testing.T) {
-	tbl := newParTable(0)
+	tbl := newParTable()
 	fillTable(tbl, 500, 7)
 
 	tbl.mu.RLock()
@@ -113,11 +127,13 @@ func TestSelectsOverlap(t *testing.T) {
 	tbl.mu.RUnlock()
 }
 
-// TestConcurrentReadersOneWriter races read-only queries against a
-// mutating writer; run under -race this validates the RWMutex conversion
-// and the parallel scan workers.
+// TestConcurrentReadersOneWriter races read-only queries and stats reads
+// against a mutating writer on an instrumented table; run under -race
+// this validates the RWMutex conversion, the parallel scan workers and
+// the telemetry paths.
 func TestConcurrentReadersOneWriter(t *testing.T) {
-	tbl := newParTable(0)
+	tbl := newParTable()
+	tbl.SetObserver(obs.New(obs.Options{}))
 	fillTable(tbl, 800, 11)
 
 	stop := make(chan struct{})
@@ -164,7 +180,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 					return
 				default:
 				}
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0:
 					tbl.Select(8 + rng.Intn(64))
 				case 1:
@@ -175,6 +191,8 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 					tbl.SelectWhere([]Pred{{Attr: 1, Op: Lt, Value: entity.Float(500)}})
 				case 4:
 					tbl.Partitions()
+				case 5:
+					tbl.QueryStats()
 				}
 			}
 		}(int64(r))
@@ -188,22 +206,24 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 // BenchmarkSelectParallel compares the serial scan against the pooled
 // parallel scan on the same data and query.
 func BenchmarkSelectParallel(b *testing.B) {
-	for _, par := range []int{1, 0} {
+	for i, procs := range []int{1, runtime.GOMAXPROCS(0)} {
 		name := "serial"
-		if par == 0 {
-			name = fmt.Sprintf("parallel-%d", newParTable(0).parallelism.Load())
+		if i > 0 {
+			name = fmt.Sprintf("parallel-%d", procs)
 		}
 		b.Run(name, func(b *testing.B) {
-			tbl := newParTable(par)
+			tbl := newParTable()
 			fillTable(tbl, 20000, 5)
 			q := synopsis.Of(8, 24, 40, 56, 72, 88, 104, 120)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, _ := tbl.SelectWithReport(q)
-				if len(res) == 0 {
-					b.Fatal("empty result")
+			withProcs(procs, func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, _ := tbl.SelectWithReport(q)
+					if len(res) == 0 {
+						b.Fatal("empty result")
+					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -90,7 +90,7 @@ func (t *Table) SelectSpanned(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, Que
 
 	parts := make([]partScan, len(survivors))
 	prog := selectProgram(q)
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
+	runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
 		return scanPart(survivors[i], prog, nil)
 	})
 	out := mergeScans(parts, &rep)
@@ -121,7 +121,7 @@ func (t *Table) ScanAllSpanned(sp *obs.QuerySpan) []Result {
 	start := t.obsStart()
 	snap := t.capture()
 	parts := make([]partScan, len(snap.parts))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
+	runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
 		return scanPart(snap.parts[i], storage.BitmapProgram{}, nil)
 	})
 	rep := QueryReport{PartitionsTotal: len(snap.parts), PartitionsTouched: len(snap.parts)}

@@ -9,7 +9,6 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,12 +71,6 @@ type Config struct {
 	// Cache, when non-nil, routes all page accesses through a shared
 	// buffer cache for locality measurements.
 	Cache *storage.BufferCache
-	// Parallelism bounds the worker pool used to scan non-pruned
-	// partitions in Select/SelectWhere. 0 (default) means GOMAXPROCS;
-	// 1 (or negative) opts out and scans serially. Results and
-	// QueryReport counters are identical either way: per-worker buffers
-	// are merged back in partition-id order.
-	Parallelism int
 	// Obs, when non-nil, receives live telemetry: operation counters,
 	// latency histograms, the streaming EFFICIENCY estimator, and (for
 	// partitioners that support it) decision trace events. Nil leaves
@@ -103,11 +96,6 @@ type Table struct {
 	assigner core.Assigner
 	synizer  Synopsizer
 	stats    *storage.Stats
-
-	// parallelism is the worker bound for partition scans (resolved from
-	// Config.Parallelism; 1 = serial). Atomic so SetParallelism is safe
-	// against concurrent queries without taking the table write lock.
-	parallelism atomic.Int32
 
 	// obsv holds the optional telemetry registry. Atomic so lock-free
 	// snapshot readers and SetObserver need no lock ordering between
@@ -194,13 +182,6 @@ func New(cfg Config) *Table {
 	if cfg.Synopsizer == nil {
 		cfg.Synopsizer = EntityBased{}
 	}
-	par := cfg.Parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par < 1 {
-		par = 1
-	}
 	t := &Table{
 		dict:      cfg.Dict,
 		assigner:  cfg.Partitioner,
@@ -218,7 +199,6 @@ func New(cfg Config) *Table {
 		dirty:     make(map[core.PartitionID]struct{}),
 	}
 	t.dir.Store(&partDir{})
-	t.parallelism.Store(int32(par))
 	t.assigner.SetMoveListener(t.onPlacement)
 	if cfg.Obs != nil {
 		t.setObserverLocked(cfg.Obs)
@@ -259,17 +239,6 @@ func (t *Table) numPartsLocked() int64 {
 
 // Dict returns the table's attribute dictionary.
 func (t *Table) Dict() *entity.Dictionary { return t.dict }
-
-// SetParallelism adjusts the partition-scan worker bound at runtime (see
-// Config.Parallelism). n <= 0 restores the GOMAXPROCS default; 1 scans
-// serially. The bound is atomic, so it can be flipped while queries are
-// in flight: each query reads it once at scan start.
-func (t *Table) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	t.parallelism.Store(int32(n))
-}
 
 // Stats returns the I/O counter shared by all segments.
 func (t *Table) Stats() *storage.Stats { return t.stats }

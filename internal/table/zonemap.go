@@ -325,7 +325,7 @@ func (t *Table) SelectWhereSpanned(preds []Pred, sp *obs.QuerySpan) ([]Result, Q
 
 	parts := make([]partScan, len(survivors))
 	prog := whereProgram(need)
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
+	runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
 		return scanPart(survivors[i], prog, preds)
 	})
 	out := mergeScans(parts, &rep)

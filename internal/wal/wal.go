@@ -21,6 +21,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"cinderella/internal/fsutil"
@@ -64,6 +65,11 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // appended record, synced remembers the highest record number made
 // durable, and a batching committer compares the two to coalesce many
 // logical sync requests into one fsync (see Sync).
+//
+// A Writer is fail-stop: once a Flush or fsync fails, the kernel may have
+// dropped dirty pages that a later fsync would not report again, so every
+// later Append, Flush, SyncFile and Sync returns the first error and
+// Synced never advances again.
 type Writer struct {
 	f      *os.File
 	buf    *bufio.Writer
@@ -71,6 +77,27 @@ type Writer struct {
 	obs    *obs.Registry
 	seq    uint64 // records appended so far
 	synced uint64 // records covered by the last successful Sync
+
+	// err is the sticky first I/O failure. Atomic because SyncFile runs
+	// outside the caller's append lock.
+	err atomic.Pointer[error]
+}
+
+// failed returns the sticky error, nil while the Writer is healthy.
+func (w *Writer) failed() error {
+	if p := w.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// fail makes a non-nil err sticky unless an earlier one is, and
+// returns err.
+func (w *Writer) fail(err error) error {
+	if err != nil {
+		w.err.CompareAndSwap(nil, &err)
+	}
+	return err
 }
 
 // SetObserver attaches a telemetry registry; appends and syncs then feed
@@ -89,6 +116,9 @@ func Create(path string) (*Writer, error) {
 // Append writes one operation to the log buffer. Call Sync to make it
 // durable.
 func (w *Writer) Append(op Op) error {
+	if err := w.failed(); err != nil {
+		return err
+	}
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()
@@ -133,9 +163,12 @@ func (w *Writer) Synced() uint64 { return w.synced }
 // concurrent appends overlap the disk wait and pile into the next
 // batch. Callers serialize Flush with Append like the other methods.
 func (w *Writer) Flush() (uint64, error) {
+	if err := w.failed(); err != nil {
+		return 0, err
+	}
 	seq := w.seq
 	if err := w.buf.Flush(); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	return seq, nil
 }
@@ -145,11 +178,14 @@ func (w *Writer) Flush() (uint64, error) {
 // persists at least every record already Flushed (possibly more, which
 // is harmless — durability can only run ahead of what is claimed).
 func (w *Writer) SyncFile() error {
+	if err := w.failed(); err != nil {
+		return err
+	}
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()
 	}
-	err := w.f.Sync()
+	err := w.fail(w.f.Sync())
 	if err == nil && w.obs != nil {
 		w.obs.Add(obs.CWALSyncs, 1)
 		w.obs.ObserveWALSyncNs(time.Since(start).Nanoseconds())
@@ -159,9 +195,10 @@ func (w *Writer) SyncFile() error {
 
 // MarkSynced records that records numbered ≤ seq are durable, after a
 // successful SyncFile. It keeps the maximum, so a slow fsync completing
-// late cannot regress Synced. Serialized by the caller like Append.
+// late cannot regress Synced, and it is a no-op once the Writer has
+// failed. Serialized by the caller like Append.
 func (w *Writer) MarkSynced(seq uint64) {
-	if seq > w.synced {
+	if seq > w.synced && w.failed() == nil {
 		w.synced = seq
 	}
 }
@@ -172,21 +209,12 @@ func (w *Writer) MarkSynced(seq uint64) {
 // record is durable, which is what lets one fsync acknowledge a whole
 // batch of concurrent writers.
 func (w *Writer) Sync() error {
-	var start time.Time
-	if w.obs != nil {
-		start = time.Now()
+	seq, err := w.Flush()
+	if err == nil {
+		err = w.SyncFile()
 	}
-	seq := w.seq
-	if err := w.buf.Flush(); err != nil {
-		return err
-	}
-	err := w.f.Sync()
 	if err == nil {
 		w.MarkSynced(seq)
-		if w.obs != nil {
-			w.obs.Add(obs.CWALSyncs, 1)
-			w.obs.ObserveWALSyncNs(time.Since(start).Nanoseconds())
-		}
 	}
 	return err
 }

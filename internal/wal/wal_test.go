@@ -322,3 +322,51 @@ func TestWriterSeqSynced(t *testing.T) {
 		t.Fatalf("seq=%d synced=%d, want 6,5", w.Seq(), w.Synced())
 	}
 }
+
+// TestWriterFailStopAfterFailedSync: once an fsync fails, the kernel may
+// have dropped r1's dirty pages, so no later call may claim durability —
+// not even one whose own fsync succeeds on a healthy file handle.
+func TestWriterFailStopAfterFailedSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.log")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(Op{Kind: KindInsert, ID: 1, Data: []byte("r1")}); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := w.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.f.Close()
+	if err := w.SyncFile(); err == nil {
+		t.Fatal("SyncFile on a closed file succeeded")
+	}
+	w.MarkSynced(seq)
+
+	// A fresh handle on the same file: its fsync would succeed.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w.f = f
+	w.buf.Reset(f)
+
+	if err := w.Append(Op{Kind: KindInsert, ID: 2, Data: []byte("r2")}); err == nil {
+		t.Error("Append after a failed fsync succeeded")
+	}
+	if _, err := w.Flush(); err == nil {
+		t.Error("Flush after a failed fsync succeeded")
+	}
+	if err := w.SyncFile(); err == nil {
+		t.Error("SyncFile after a failed fsync succeeded")
+	}
+	if err := w.Sync(); err == nil {
+		t.Error("Sync after a failed fsync succeeded")
+	}
+	if w.Synced() != 0 {
+		t.Fatalf("synced=%d after a failed fsync, want 0", w.Synced())
+	}
+}

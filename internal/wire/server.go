@@ -31,13 +31,11 @@ type Store interface {
 	QueryEntities(...string) []cinderella.EntityRecord
 	QueryEntitiesTraced(...string) ([]cinderella.EntityRecord, *obs.QuerySpan)
 	LastLSN() uint64
-	SyncTo(uint64) error
 }
 
 // Acker is the durability ack: the group committer's Commit method.
 // The daemon passes the same committer the HTTP server uses, so one
-// fsync covers write batches arriving over both protocols. A nil Acker
-// falls back to direct SyncTo (per-batch fsync).
+// fsync covers write batches arriving over both protocols.
 type Acker interface {
 	Commit(ctx context.Context, lsn uint64) error
 }
@@ -69,9 +67,9 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// New builds a wire Server around st. ack may be nil (direct fsync per
-// batch); the daemon passes the HTTP server's group committer so both
-// protocols share commit batches.
+// New builds a wire Server around st. ack must not be nil: every
+// acknowledged write waits on it. The daemon passes the HTTP server's
+// group committer so both protocols share commit batches.
 func New(st Store, ack Acker, cfg Config) *Server {
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrame
@@ -429,13 +427,9 @@ func (s *Server) handleBatch(c *conn, f Frame) {
 }
 
 // commit makes everything this connection has applied durable: one
-// group-commit wait (shared with the HTTP path) or a direct SyncTo.
+// group-commit wait, shared with the HTTP path.
 func (s *Server) commit() error {
-	lsn := s.st.LastLSN()
-	if s.ack == nil {
-		return s.st.SyncTo(lsn)
-	}
-	return s.ack.Commit(context.Background(), lsn)
+	return s.ack.Commit(context.Background(), s.st.LastLSN())
 }
 
 // appendDictDelta appends the (id → name) pairs the client has not seen

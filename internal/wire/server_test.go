@@ -11,15 +11,20 @@ import (
 
 	"cinderella"
 	"cinderella/internal/entity"
+	"cinderella/internal/server"
 	"cinderella/internal/shard"
 	"cinderella/internal/wire"
 )
 
-// startServer runs a wire server over st on an ephemeral port and
-// returns its address. Cleanup shuts it down.
-func startServer(t *testing.T, st wire.Store) (string, *wire.Server) {
+// startServer runs a wire server over st, acked by a group committer,
+// on an ephemeral port and returns its address. Cleanup shuts it down.
+func startServer(t *testing.T, st interface {
+	wire.Store
+	server.Syncer
+}) (string, *wire.Server) {
 	t.Helper()
-	srv := wire.New(st, nil, wire.Config{})
+	com := server.NewCommitter(st, 0, 0, nil)
+	srv := wire.New(st, com, wire.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +34,7 @@ func startServer(t *testing.T, st wire.Store) (string, *wire.Server) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
+		com.Stop()
 	})
 	return ln.Addr().String(), srv
 }

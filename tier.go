@@ -117,7 +117,7 @@ func (d *DurableTable) persistTier() error {
 	if len(frozen) == 0 {
 		return os.RemoveAll(dir)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsutil.MkdirDurable(dir); err != nil {
 		return err
 	}
 	data, err := json.Marshal(tierManifest{Version: tierManifestVersion, Frozen: frozen})
